@@ -6,8 +6,9 @@ constraints into can_assign rule families, generates a multi-branch bank
 case-study policy, and answers role-reachability safety queries by exact
 search with relevance slicing.
 
-The analyzer (and its numba-backed engine) loads lazily on first use so
-that policy generation and parsing stay import-light.
+The analyzer (and numpy, which its search engine needs) loads lazily on
+first use, so that generating, parsing, validating and describing a
+policy do not pay numpy's import time.
 """
 
 from __future__ import annotations

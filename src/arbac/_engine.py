@@ -1,296 +1,175 @@
-"""Search engines for role-set reachability.
+"""Level-synchronous breadth-first search over bit-packed role sets.
 
-Two interchangeable implementations of the same breadth-first search
-over bit-packed user states:
+A state is one row of ``W = ceil(roles / 64)`` uint64 words, bit ``i``
+standing for role ``i`` of the (already sliced) policy. Each BFS level
+is expanded at once in numpy. Per frontier chunk of about ``CELLS``
+(state, action) pairs, every action is tested on every state as one
+boolean broadcast, ``nonzero`` lists the enabled pairs, and the children
+are the parents with the action's target bit flipped. Sorting the
+children's keys keeps the first occurrence of each child, and
+``searchsorted`` into the sorted keys of all visited states drops the
+visited ones.
 
-* a numba-jitted kernel over uint64 states (at most 63 roles, so a state
-  never collides with the hash table's all-ones empty sentinel), using
-  an open-addressing visited set and flat queue/parent arrays;
-* a plain Python twin over unbounded ints for larger role counts or when
-  numba is unavailable.
+An action passes when ``(words & test) == need`` holds on every word.
+For flat policies the words are the state itself. With a hierarchy they
+are the state followed by its authorized set (the state plus the
+downward closure of every senior role it holds), so one test can look
+at both: the target bit in the state, the precondition in the
+authorized set.
 
-Both enumerate actions in identical order and insert children in
-identical FIFO order, so they return identical results state for state;
-the test suite holds them to that.
+Ordering lemma: the result (verdict, states popped, witness) equals that
+of the FIFO search that pops one state at a time, tests it against the
+goal, and enqueues its unvisited children in action order. That queue
+holds the states level by level, and level d+1 in the order of first
+occurrence in the (parent, action) enumeration of level d. ``nonzero``
+over a frontier kept in queue order lists the children in exactly that
+order, row-major, so the first occurrence kept here is the one the FIFO
+search enqueued, with the same parent and action. The goal test and the
+``max_states`` cap then only need a state's position in the queue, and
+``max_depth`` only its level. A chunk that yields an unvisited goal
+state ends the level early: every state queued before that goal state
+comes from this chunk or an earlier one.
 
-States are bit masks over the (already sliced) policy's role list. An
-action is (is_assign, positive mask, negative mask, target bit). The
-authorized set is the state itself for flat policies, or the union of
-per-role downward-closure masks otherwise. The target test happens when
-a state is popped, so `popped` counts exactly the states whose target
-membership was checked.
+A state's sort key is its one word, or for wider states its raw bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-BITSET_MAX_ROLES = 63
-
-_EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
+# broadcast cells (frontier states x actions) tested per chunk
+CELLS = 1 << 20
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     found: bool
-    action_ids: list[int] | None  # rule-array positions along the witness path
+    action_ids: list[int] | None  # action positions along the witness path
     popped: int
     truncated: bool
 
 
-if HAVE_NUMBA:
+class Program(NamedTuple):
+    """A compiled policy: per-action tests on the state (and authorized)
+    words, the bit each action flips, the goal, and the closure of every
+    senior role (None for flat policies)."""
 
-    @njit(cache=True)
-    def _mix64(x):
-        # splitmix64 finalizer; full-avalanche hash for the visited set
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-    @njit(cache=True)
-    def _bfs_bitset(
-        init,
-        n_roles,
-        is_assign,
-        pos,
-        neg,
-        tbit,
-        rbit,
-        closure,
-        use_closure,
-        target_bit,
-        max_states,
-        max_depth,
-    ):
-        cap = np.int64(1) << 16
-        keys = np.full(cap, _EMPTY, np.uint64)
-        mask = np.uint64(cap - 1)
-
-        qcap = np.int64(1) << 16
-        queue = np.empty(qcap, np.uint64)
-        parent = np.empty(qcap, np.int64)
-        pact = np.empty(qcap, np.int32)
-
-        queue[0] = init
-        parent[0] = np.int64(-1)
-        pact[0] = np.int32(-1)
-        keys[_mix64(init) & mask] = init
-        size = np.int64(1)
-        head = np.int64(0)
-
-        n_act = is_assign.shape[0]
-        found = np.int64(-1)
-        truncated = False
-        depth = np.int64(0)
-        level_end = np.int64(1)
-
-        while head < size:
-            if max_states >= 0 and head >= max_states:
-                truncated = True
-                break
-            if head == level_end:
-                depth += 1
-                level_end = size
-            s = queue[head]
-            if use_closure:
-                auth = _ZERO
-                for i in range(n_roles):
-                    if s & rbit[i] != _ZERO:
-                        auth |= closure[i]
-            else:
-                auth = s
-            if auth & target_bit != _ZERO:
-                found = head
-                break
-            expand = max_depth < 0 or depth < max_depth
-            for a in range(n_act):
-                if is_assign[a]:
-                    if s & tbit[a] != _ZERO:
-                        continue
-                    if auth & pos[a] != pos[a]:
-                        continue
-                    if auth & neg[a] != _ZERO:
-                        continue
-                    c = s | tbit[a]
-                else:
-                    if s & tbit[a] == _ZERO:
-                        continue
-                    c = s & ~tbit[a]
-                h = _mix64(c) & mask
-                present = False
-                while keys[h] != _EMPTY:
-                    if keys[h] == c:
-                        present = True
-                        break
-                    h = (h + _ONE) & mask
-                if present:
-                    continue
-                if not expand:
-                    truncated = True
-                    continue
-                keys[h] = c
-                if size == qcap:
-                    qcap = qcap * 2
-                    nq = np.empty(qcap, np.uint64)
-                    nq[:size] = queue[:size]
-                    queue = nq
-                    npar = np.empty(qcap, np.int64)
-                    npar[:size] = parent[:size]
-                    parent = npar
-                    npa = np.empty(qcap, np.int32)
-                    npa[:size] = pact[:size]
-                    pact = npa
-                queue[size] = c
-                parent[size] = head
-                pact[size] = np.int32(a)
-                size += 1
-                if size * np.int64(2) > cap:
-                    ncap = cap * 2
-                    nkeys = np.full(ncap, _EMPTY, np.uint64)
-                    nmask = np.uint64(ncap - 1)
-                    for j in range(size):
-                        v = queue[j]
-                        hh = _mix64(v) & nmask
-                        while nkeys[hh] != _EMPTY:
-                            hh = (hh + _ONE) & nmask
-                        nkeys[hh] = v
-                    keys = nkeys
-                    cap = ncap
-                    mask = nmask
-            head += 1
-
-        popped = head + np.int64(1) if found >= 0 else head
-        return found, popped, truncated, parent[:size], pact[:size]
+    init: np.ndarray  # (W,) initial state
+    test: np.ndarray  # (W, A), or (2W, A) with a hierarchy: one row per word
+    need: np.ndarray  # same shape as test
+    flip: np.ndarray  # (A, W) target bit of each action
+    goal: np.ndarray  # (W,) roles whose authorization implies the target
+    seniors: tuple | None = None  # (word, shift) of the K roles with juniors
+    closure: np.ndarray | None = None  # (K, W) downward closures of those roles
 
 
-def _trace(found: int, parent, pact) -> list[int]:
+def set_bits(shape: tuple[int, ...], positions) -> np.ndarray:
+    """uint64 words of ``shape``, zero but for the given bit positions;
+    position p is bit p % 64 of word p // 64, counted in C order."""
+    out = np.zeros(shape, np.uint64)
+    at = np.asarray(positions, np.uint64)
+    one = np.uint64(1) << (at & np.uint64(63))
+    np.bitwise_or.at(out.reshape(-1), at >> np.uint64(6), one)
+    return out
+
+
+def _tested_words(program: Program, states: np.ndarray) -> np.ndarray:
+    if program.closure is None:
+        return states
+    word, shift = program.seniors
+    held = ((states[:, word] >> shift) & 1).astype(np.bool_)
+    below = np.where(held[:, :, None], program.closure, 0)
+    return np.concatenate((states, states | np.bitwise_or.reduce(below, axis=1)), axis=1)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in sorted order, each with the position of its
+    first occurrence."""
+    if not len(keys):
+        return np.zeros(0, np.intp), keys
+    order = keys.argsort()
+    ordered = keys[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1])).nonzero()[0]
+    return np.minimum.reduceat(order, starts), ordered[starts]
+
+
+def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key):
+    """The unvisited children of ``frontier``, each once: their sorted
+    keys, the broadcast cell (parent * A + action) of each one's first
+    occurrence, and whether one of them meets the goal."""
+    test, need = program.test, program.need
+    n_act = max(1, test.shape[1])
+    rows = max(1, CELLS // n_act)
+    parts = []
+    for lo in range(0, len(frontier), rows):
+        chunk = frontier[lo : lo + rows]
+        words = _tested_words(program, chunk)
+        ok = (words[:, :1] & test[0]) == need[0]
+        for w in range(1, len(test)):
+            ok &= (words[:, w : w + 1] & test[w]) == need[w]
+        cells = ok.ravel().nonzero()[0]
+        parent, action = np.divmod(cells, n_act)
+        children = chunk[parent] ^ program.flip[action]
+        first, keys = _distinct(children.view(key).ravel())
+        at = np.minimum(visited.searchsorted(keys), len(visited) - 1)
+        fresh = visited[at] != keys
+        first = first[fresh]
+        parts.append((keys[fresh], cells[first] + lo * n_act))
+        hit = bool((children[first] & program.goal).any())
+        if hit:
+            break  # the rest of the level queues behind this goal state
+    if len(parts) == 1:
+        return (*parts[0], hit)
+    keys, cells = (np.concatenate(p) for p in zip(*parts))
+    # a key seen in several chunks keeps its earliest chunk's occurrence
+    first, keys = _distinct(keys)
+    return keys, cells[first], hit
+
+
+def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
+    """The actions from the initial state to queue position ``found``;
+    ``cells`` holds parent * A + action for every queue position."""
+    cell = np.concatenate(cells)
     ids: list[int] = []
-    cur = found
-    while parent[cur] >= 0:
-        ids.append(int(pact[cur]))
-        cur = parent[cur]
+    while found:
+        found, action = divmod(int(cell[found]), n_act)
+        ids.append(action)
     ids.reverse()
     return ids
 
 
-def run_bitset(
-    init: int,
-    n_roles: int,
-    actions: list[tuple[bool, int, int, int]],
-    closure: list[int] | None,
-    target_idx: int,
-    max_states: int | None,
-    max_depth: int | None,
+def search(
+    program: Program, max_states: int | None, max_depth: int | None
 ) -> SearchResult:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available; use the python engine")
-    if n_roles > BITSET_MAX_ROLES:
-        raise ValueError(
-            f"bitset engine supports at most {BITSET_MAX_ROLES} roles, got {n_roles}"
-        )
-    n_act = len(actions)
-    is_assign = np.zeros(n_act, np.bool_)
-    pos = np.zeros(n_act, np.uint64)
-    neg = np.zeros(n_act, np.uint64)
-    tbit = np.zeros(n_act, np.uint64)
-    for i, (asg, p, n, t) in enumerate(actions):
-        is_assign[i] = asg
-        pos[i] = p
-        neg[i] = n
-        tbit[i] = t
-    rbit = np.array([1 << i for i in range(n_roles)], np.uint64)
-    if closure is None:
-        closure_arr = rbit
-        use_closure = False
-    else:
-        closure_arr = np.array(closure, np.uint64)
-        use_closure = True
-    found, popped, truncated, parent, pact = _bfs_bitset(
-        np.uint64(init),
-        np.int64(n_roles),
-        is_assign,
-        pos,
-        neg,
-        tbit,
-        rbit,
-        closure_arr,
-        use_closure,
-        np.uint64(1 << target_idx),
-        np.int64(-1 if max_states is None else max_states),
-        np.int64(-1 if max_depth is None else max_depth),
-    )
-    trace = _trace(int(found), parent, pact) if found >= 0 else None
-    return SearchResult(found >= 0, trace, int(popped), bool(truncated))
-
-
-def run_python(
-    init: int,
-    n_roles: int,
-    actions: list[tuple[bool, int, int, int]],
-    closure: list[int] | None,
-    target_idx: int,
-    max_states: int | None,
-    max_depth: int | None,
-) -> SearchResult:
-    target_bit = 1 << target_idx
-    visited = {init}
-    queue = [init]
-    parent = [-1]
-    pact = [-1]
-    head = 0
-    found = -1
-    truncated = False
+    W = len(program.init)
+    # states sort as one uint64 word, or wider as raw bytes
+    key = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
+    n_act = max(1, len(program.flip))
+    frontier = program.init[None, :]
+    visited = frontier.view(key).ravel()  # sorted
+    hit = bool((program.init & program.goal).any())
+    cells_seen = [np.zeros(1, np.intp)]  # parent * A + action per queue position
+    offset = 0  # queue position of frontier[0]
     depth = 0
-    level_end = 1
-    while head < len(queue):
-        if max_states is not None and head >= max_states:
-            truncated = True
-            break
-        if head == level_end:
-            depth += 1
-            level_end = len(queue)
-        s = queue[head]
-        if closure is not None:
-            auth = 0
-            for i in range(n_roles):
-                if s >> i & 1:
-                    auth |= closure[i]
-        else:
-            auth = s
-        if auth & target_bit:
-            found = head
-            break
-        expand = max_depth is None or depth < max_depth
-        for a, (is_assign, pos, neg, tbit) in enumerate(actions):
-            if is_assign:
-                if s & tbit or (auth & pos) != pos or auth & neg:
-                    continue
-                c = s | tbit
-            else:
-                if not s & tbit:
-                    continue
-                c = s & ~tbit
-            if c in visited:
-                continue
-            if not expand:
-                truncated = True
-                continue
-            visited.add(c)
-            queue.append(c)
-            parent.append(head)
-            pact.append(a)
-        head += 1
-    popped = head + 1 if found >= 0 else head
-    trace = _trace(found, parent, pact) if found >= 0 else None
-    return SearchResult(found >= 0, trace, popped, truncated)
+    while True:
+        n = len(frontier)
+        popped = n if max_states is None else min(n, max_states - offset)
+        if hit:
+            hits = np.flatnonzero((frontier[:popped] & program.goal).any(axis=1))
+            if len(hits):
+                found = offset + int(hits[0])
+                witness = _trace(found, cells_seen, n_act)
+                return SearchResult(True, witness, found + 1, False)
+        if popped < n:
+            return SearchResult(False, None, max_states, True)
+        keys, cells, hit = _expand(program, frontier, visited, key)
+        if depth == max_depth or not len(keys):
+            return SearchResult(False, None, offset + n, bool(len(keys)))
+        # a stable sort of two sorted runs is one linear merge
+        visited = np.sort(np.concatenate((visited, keys)), kind="stable")
+        fifo = cells.argsort()
+        cells_seen.append(cells[fifo] + offset * n_act)
+        frontier = keys[fifo].view(np.uint64).reshape(-1, W)
+        offset += n
+        depth += 1

@@ -27,6 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import _engine
 from .model import (
     ActionKind,
@@ -54,7 +56,6 @@ __all__ = [
     "Outcome",
     "Witness",
     "Verdict",
-    "engine_for",
     "reach",
     "slice_policy",
     "oracle_reach",
@@ -125,22 +126,6 @@ def _require_well_formed(policy: Policy) -> None:
         raise InvalidPolicy(
             "policy has validation errors: " + str(errors[0]), tuple(errors)
         )
-
-
-def engine_for(role_count: int, impl: str | None) -> str:
-    """Resolve the engine label used for ``role_count`` roles.
-
-    ``impl`` may be "bitset", "python", or None/"auto" to pick the jitted
-    bitset engine whenever it fits (at most 63 roles) and fall back to
-    the unbounded-int Python twin otherwise.
-    """
-    if impl in (None, "auto"):
-        if _engine.HAVE_NUMBA and role_count <= _engine.BITSET_MAX_ROLES:
-            return "bitset"
-        return "python"
-    if impl not in ("bitset", "python"):
-        raise ValueError(f"unknown engine {impl!r}")
-    return impl
 
 
 def _relevant_roles(policy: Policy, target: str) -> set[str]:
@@ -232,31 +217,55 @@ def slice_policy(policy: Policy, query: SafetyQuery) -> Policy:
     return sliced
 
 
-def _compile_masks(
-    policy: Policy,
-) -> tuple[list[tuple[bool, int, int, int]], list[int] | None, dict[str, int]]:
-    index = {role: i for i, role in enumerate(policy.roles)}
+def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
+    """The search program of ``query`` on ``policy``, built from role
+    indices: one bit per role, one action per can_assign rule (in
+    declaration order) then per can_revoke rule."""
+    roles = policy.roles
+    index = {role: i for i, role in enumerate(roles)}
+    n_ca = len(policy.ca)
+    n_act = n_ca + len(policy.cr)
+    n_words = max(1, (len(roles) + 63) // 64)
+    width = 64 * n_words
 
-    def mask(roles) -> int:
-        m = 0
-        for r in roles:
-            m |= 1 << index[r]
-        return m
-
-    actions: list[tuple[bool, int, int, int]] = []
-    for rule in policy.ca:
-        actions.append(
-            (True, mask(rule.pre.positive), mask(rule.pre.negative), mask((rule.target,)))
-        )
-    for rule in policy.cr:
-        actions.append((False, 0, 0, mask((rule.target,))))
-
-    closure: list[int] | None = None
-    if not policy.hierarchy.is_empty():
-        closure = [
-            mask(policy.hierarchy.downward_closure({role})) for role in policy.roles
-        ]
-    return actions, closure, index
+    # one bit row per action in each of four planes (positive literals,
+    # negative literals, can_assign target, can_revoke target), then the
+    # initial state and the goal
+    row = [a * width for a in range(n_act)]
+    plane = n_act * width
+    ca = list(enumerate(policy.ca))
+    cells = [row[a] + index[r] for a, rule in ca for r in rule.pre.positive]
+    cells += [plane + row[a] + index[r] for a, rule in ca for r in rule.pre.negative]
+    cells += [2 * plane + row[a] + index[rule.target] for a, rule in ca]
+    cells += [3 * plane + row[a] + index[r.target] for a, r in enumerate(policy.cr, n_ca)]
+    cells += [4 * plane + index[role] for role in policy.initial_roles(query.user)]
+    target = index[query.target]
+    # the roles whose holding authorizes the target, and the closure of
+    # every role with juniors
+    granted_by = [target]
+    seniors = sorted({index[senior] for senior, _ in policy.hierarchy.edges})
+    below: list[int] = []
+    for k, s in enumerate(seniors):
+        juniors = policy.hierarchy.downward_closure((roles[s],))
+        below += [k * width + index[r] for r in juniors]
+        if s != target and query.target in juniors:
+            granted_by.append(s)
+    cells += [4 * plane + width + r for r in granted_by]
+    bits = _engine.set_bits((4 * n_act + 2, n_words), cells)
+    pos, neg, assigned, revoked = bits[:-2].reshape(4, n_act, n_words)
+    init, goal = bits[-2:]
+    flip = assigned | revoked
+    if not seniors:
+        test, need = pos | neg | flip, pos | revoked
+        return _engine.Program(init, test.T.copy(), need.T.copy(), flip, goal)
+    # the state words test the target bit, the authorized words the
+    # precondition
+    test = np.concatenate((flip.T, (pos | neg).T))
+    need = np.concatenate((revoked.T, pos.T))
+    closure = _engine.set_bits((len(seniors), n_words), below)
+    seniors = np.array(seniors)
+    held_bit = (seniors >> 6, (seniors & 63).astype(np.uint64))
+    return _engine.Program(init, test, need, flip, goal, held_bit, closure)
 
 
 def reach(
@@ -264,7 +273,6 @@ def reach(
     query: SafetyQuery,
     limits: SearchLimits | None = None,
     use_slicing: bool = True,
-    impl: str | None = None,
 ) -> Verdict:
     """Decide ``query`` by breadth-first search from the user's initial
     assignments.
@@ -290,21 +298,8 @@ def reach(
             list(range(len(policy.cr))),
         )
 
-    actions, closure, index = _compile_masks(sliced)
-    init = 0
-    for role in sliced.initial_roles(query.user):
-        init |= 1 << index[role]
-
-    engine = engine_for(len(sliced.roles), impl)
-    run = _engine.run_bitset if engine == "bitset" else _engine.run_python
-    result = run(
-        init,
-        len(sliced.roles),
-        actions,
-        closure,
-        index[query.target],
-        limits.max_states,
-        limits.max_depth,
+    result = _engine.search(
+        _compile_masks(sliced, query), limits.max_states, limits.max_depth
     )
 
     if result.found:

@@ -28,7 +28,7 @@ from .model import Policy, SafetyQuery, Severity, validate
 from .sop import SopConstraint, SopError, compile_sop, compile_sop_monitor
 from .textio import ParseError, format_ca_rule, parse_policy, serialize_policy
 
-if TYPE_CHECKING:  # analyzer pulls in numba; imported lazily in cmd_check
+if TYPE_CHECKING:  # analyzer pulls in numpy; imported lazily in cmd_check
     from .analyzer import Verdict
 
 __all__ = ["CheckReport", "main"]
@@ -43,7 +43,6 @@ class CheckReport:
     verdict: "Verdict"
     query: SafetyQuery
     wall_time_ms: int
-    engine: str
 
 
 def _err(message: str) -> None:
@@ -131,8 +130,7 @@ def _report_human(report: CheckReport) -> None:
     v = report.verdict
     detail = (
         f"{v.states_explored} states explored, "
-        f"{v.sliced_role_count} roles after slicing, "
-        f"{report.engine} engine, {report.wall_time_ms} ms"
+        f"{v.sliced_role_count} roles after slicing, {report.wall_time_ms} ms"
     )
     _err(
         f"query {report.query.user}:{report.query.target} -> "
@@ -148,7 +146,7 @@ def _report_human(report: CheckReport) -> None:
 
 
 def cmd_check(args) -> int:
-    from .analyzer import InvalidQuery, SearchLimits, engine_for, reach
+    from .analyzer import InvalidQuery, SearchLimits, reach
     from .model import InvalidPolicy
 
     policy = _load_policy(args.policy)
@@ -186,7 +184,6 @@ def cmd_check(args) -> int:
         _err(f"error: {exc}")
         return 1
 
-    impl = None if args.engine == "auto" else args.engine
     reports: list[CheckReport] = []
     for query in queries:
         start = time.perf_counter()
@@ -196,9 +193,8 @@ def cmd_check(args) -> int:
                 query,
                 limits=limits,
                 use_slicing=not args.no_slicing,
-                impl=impl,
             )
-        except (InvalidQuery, InvalidPolicy, ValueError, RuntimeError) as exc:
+        except (InvalidQuery, InvalidPolicy) as exc:
             _err(f"error: {exc}")
             return 1
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
@@ -206,7 +202,6 @@ def cmd_check(args) -> int:
             verdict=verdict,
             query=query,
             wall_time_ms=elapsed_ms,
-            engine=engine_for(verdict.sliced_role_count, impl),
         )
         reports.append(report)
         if args.json:
@@ -334,12 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="answer safety queries against a policy")
     c.add_argument("policy", help="policy file, or - for standard input")
     c.add_argument("--query", help="override SPEC queries with user:role")
-    c.add_argument(
-        "--engine",
-        choices=["auto", "bitset", "python"],
-        default="auto",
-        help="search engine (auto picks bitset when it fits)",
-    )
     c.add_argument(
         "--no-slicing",
         action="store_true",

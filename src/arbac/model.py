@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -88,10 +89,6 @@ class NotAssigned(ArbacError):
     """apply_revoke was called with the target role not assigned."""
 
 
-def _as_str_tuple(items: Iterable[str]) -> tuple[str, ...]:
-    return tuple(items)
-
-
 @dataclass(frozen=True)
 class RoleHierarchy:
     """Seniority relation as explicit (senior, junior) edges.
@@ -115,10 +112,6 @@ class RoleHierarchy:
 
     def is_empty(self) -> bool:
         return not self.edges
-
-    def juniors(self, role: str) -> tuple[str, ...]:
-        """Direct juniors of ``role``, in edge order."""
-        return tuple(self._children.get(role, ()))
 
     def downward_closure(self, roles: Iterable[str]) -> frozenset[str]:
         """All roles granted by holding ``roles``: the roles themselves
@@ -217,12 +210,12 @@ class Policy:
     queries: tuple[SafetyQuery, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", _as_str_tuple(self.roles))
-        object.__setattr__(self, "users", _as_str_tuple(self.users))
+        object.__setattr__(self, "roles", tuple(self.roles))
+        object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "ua", tuple((u, r) for u, r in self.ua))
         object.__setattr__(self, "ca", tuple(self.ca))
         object.__setattr__(self, "cr", tuple(self.cr))
-        object.__setattr__(self, "admin_roles", _as_str_tuple(self.admin_roles))
+        object.__setattr__(self, "admin_roles", tuple(self.admin_roles))
         object.__setattr__(self, "queries", tuple(self.queries))
 
     @property
@@ -236,6 +229,11 @@ class Policy:
     def initial_roles(self, user: str) -> frozenset[str]:
         """Roles assigned to ``user`` in the initial state (UA)."""
         return frozenset(r for u, r in self.ua if u == user)
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        # computed once per policy: every field is immutable
+        return tuple(_diagnose(self))
 
 
 class ActionKind(str, Enum):
@@ -356,6 +354,9 @@ def _find_cycle_roles(hierarchy: RoleHierarchy) -> list[str]:
 def validate(policy: Policy) -> list[Diagnostic]:
     """Check structural well-formedness, returning every problem found.
 
+    The diagnostics are computed once per ``Policy`` object and then
+    served from it.
+
     Error-level diagnostics mark violations that make the policy
     meaningless or non-serializable (undeclared references, bad names,
     duplicate role declarations, overlapping precondition literals, a
@@ -363,6 +364,10 @@ def validate(policy: Policy) -> list[Diagnostic]:
     duplicates of rules, UA pairs, users, or hierarchy edges are merely
     redundant and are reported at info level.
     """
+    return list(policy._diagnostics)
+
+
+def _diagnose(policy: Policy) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     roles = policy.role_set
     users = policy.user_set
@@ -399,28 +404,30 @@ def validate(policy: Policy) -> list[Diagnostic]:
     seen_ca: set[CanAssignRule] = set()
     for i, rule in enumerate(policy.ca):
         loc = f"CA[{i}]"
-        for name in (rule.admin, rule.target, *sorted(rule.pre.roles())):
-            if name not in roles:
-                diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {name!r}"))
-        overlap = rule.pre.positive & rule.pre.negative
-        if overlap:
+        literals = rule.pre.roles()
+        if not (rule.admin in roles and rule.target in roles and literals <= roles):
+            for name in (rule.admin, rule.target, *sorted(literals)):
+                if name not in roles:
+                    diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {name!r}"))
+        if not rule.pre.positive.isdisjoint(rule.pre.negative):
             diags.append(
                 Diagnostic(
                     Severity.ERROR,
                     loc,
                     "precondition uses roles both positively and negatively: "
-                    + ", ".join(sorted(overlap)),
+                    + ", ".join(sorted(rule.pre.positive & rule.pre.negative)),
                 )
             )
-        if rule.target in rule.pre.roles():
+        if rule.target in literals:
             diags.append(
                 Diagnostic(
                     Severity.ERROR, loc, f"target {rule.target!r} appears in its own precondition"
                 )
             )
-        if rule in seen_ca:
-            diags.append(Diagnostic(Severity.INFO, loc, "duplicate can_assign rule"))
+        size = len(seen_ca)
         seen_ca.add(rule)
+        if len(seen_ca) == size:
+            diags.append(Diagnostic(Severity.INFO, loc, "duplicate can_assign rule"))
 
     seen_cr: set[CanRevokeRule] = set()
     for i, rule in enumerate(policy.cr):
@@ -472,4 +479,4 @@ def validate(policy: Policy) -> list[Diagnostic]:
 
 def validation_errors(policy: Policy) -> list[Diagnostic]:
     """Only the error-level diagnostics; empty means well-formed."""
-    return [d for d in validate(policy) if d.severity is Severity.ERROR]
+    return [d for d in policy._diagnostics if d.severity is Severity.ERROR]

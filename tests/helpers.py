@@ -1,11 +1,16 @@
 """Shared test fixtures: seeded random policy corpus, the single-division
-micro policy, and the clerk-rule mutation used by the detection tests."""
+micro policy, the clerk-rule mutation used by the detection tests, and a
+one-state-at-a-time FIFO search that the level-synchronous engine must
+match exactly."""
 
 from __future__ import annotations
 
 import random
 
+from arbac.analyzer import Outcome, SearchLimits, Verdict, Witness
 from arbac.model import (
+    ActionKind,
+    ActionStep,
     CanAssignRule,
     CanRevokeRule,
     Policy,
@@ -163,4 +168,141 @@ def mutate_bank(policy: Policy, branch: int) -> Policy:
         hierarchy=policy.hierarchy,
         admin_roles=policy.admin_roles,
         queries=policy.queries,
+    )
+
+
+def _python_masks(policy: Policy, query: SafetyQuery):
+    """Actions as (is_assign, positive mask, negative mask, target bit)
+    over Python ints, the per-role closure masks (None when flat), the
+    initial state and the target's bit index."""
+    index = {role: i for i, role in enumerate(policy.roles)}
+
+    def mask(roles) -> int:
+        m = 0
+        for r in roles:
+            m |= 1 << index[r]
+        return m
+
+    actions = [
+        (True, mask(rule.pre.positive), mask(rule.pre.negative), mask((rule.target,)))
+        for rule in policy.ca
+    ]
+    actions += [(False, 0, 0, mask((rule.target,))) for rule in policy.cr]
+    closure = None
+    if not policy.hierarchy.is_empty():
+        closure = [mask(policy.hierarchy.downward_closure({r})) for r in policy.roles]
+    return actions, closure, mask(policy.initial_roles(query.user)), index[query.target]
+
+
+def run_python(init, n_roles, actions, closure, target_idx, max_states, max_depth):
+    """FIFO breadth-first search popping one state at a time and
+    enqueueing its unvisited children in action order. Returns (found
+    action ids or None, states popped, truncated)."""
+    target_bit = 1 << target_idx
+    visited = {init}
+    queue = [init]
+    parent = [-1]
+    pact = [-1]
+    head = 0
+    found = -1
+    truncated = False
+    depth = 0
+    level_end = 1
+    while head < len(queue):
+        if max_states is not None and head >= max_states:
+            truncated = True
+            break
+        if head == level_end:
+            depth += 1
+            level_end = len(queue)
+        s = queue[head]
+        if closure is not None:
+            auth = 0
+            for i in range(n_roles):
+                if s >> i & 1:
+                    auth |= closure[i]
+        else:
+            auth = s
+        if auth & target_bit:
+            found = head
+            break
+        expand = max_depth is None or depth < max_depth
+        for a, (is_assign, pos, neg, tbit) in enumerate(actions):
+            if is_assign:
+                if s & tbit or (auth & pos) != pos or auth & neg:
+                    continue
+                c = s | tbit
+            else:
+                if not s & tbit:
+                    continue
+                c = s & ~tbit
+            if c in visited:
+                continue
+            if not expand:
+                truncated = True
+                continue
+            visited.add(c)
+            queue.append(c)
+            parent.append(head)
+            pact.append(a)
+        head += 1
+    if found < 0:
+        return None, head, truncated
+    ids = []
+    cur = found
+    while parent[cur] >= 0:
+        ids.append(pact[cur])
+        cur = parent[cur]
+    return ids[::-1], head + 1, truncated
+
+
+def fifo_reach(
+    policy: Policy, query: SafetyQuery, limits: SearchLimits = SearchLimits()
+) -> Verdict:
+    """``reach(policy, query, limits, use_slicing=False)`` computed by
+    ``run_python``; the reference the engine must equal on outcome,
+    states explored and witness."""
+    actions, closure, init, target = _python_masks(policy, query)
+    ids, popped, truncated = run_python(
+        init, len(policy.roles), actions, closure, target,
+        limits.max_states, limits.max_depth,
+    )
+    witness = None
+    if ids is not None:
+        n_ca = len(policy.ca)
+        witness = Witness(tuple(
+            ActionStep(ActionKind.ASSIGN, a, policy.ca[a].target)
+            if a < n_ca
+            else ActionStep(ActionKind.REVOKE, a - n_ca, policy.cr[a - n_ca].target)
+            for a in ids
+        ))
+        outcome = Outcome.REACHABLE
+    else:
+        outcome = Outcome.UNKNOWN if truncated else Outcome.UNREACHABLE
+    return Verdict(
+        outcome, witness, popped, outcome is Outcome.UNREACHABLE, len(policy.roles)
+    )
+
+
+def widen(policy: Policy, query: SafetyQuery, extra: int) -> tuple[Policy, SafetyQuery]:
+    """``policy`` with ``extra`` inert roles interleaved among its own,
+    every third one held by every user; no rule mentions them, so the
+    search explores the same states with wider bit rows."""
+    pads = [f"pad{i}" for i in range(extra)]
+    roles = list(pads)
+    for i, role in enumerate(policy.roles):
+        roles.insert((i + 1) * len(roles) // (len(policy.roles) + 1), role)
+    ua = policy.ua + tuple((u, p) for u in policy.users for p in pads[::3])
+    return (
+        Policy(
+            roles=tuple(roles),
+            users=policy.users,
+            ua=ua,
+            ca=policy.ca,
+            cr=policy.cr,
+            hierarchy=policy.hierarchy,
+            admin_roles=policy.admin_roles,
+            queries=policy.queries,
+        ),
+        query,
     )

@@ -31,17 +31,15 @@ from helpers import mutate_bank, random_policy, single_division_policy
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_engines():
-    # pay jit compilation before any timed section
+def warm_engine():
+    # pay the analyzer's import and first numpy calls before any timed section
     policy = Policy(
         roles=("Admin", "A"),
         users=("u",),
         ca=(CanAssignRule("Admin", Precondition(), "A"),),
         admin_roles=("Admin",),
     )
-    query = SafetyQuery("u", "A")
-    for impl in ("python", None):
-        reach(policy, query, impl=impl)
+    reach(policy, SafetyQuery("u", "A"))
 
 
 @pytest.fixture

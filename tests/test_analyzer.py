@@ -1,5 +1,6 @@
-"""Reachability analysis: search verdicts, slicing, limits, engines,
-the naive oracle, and witness replay."""
+"""Reachability analysis: search verdicts, slicing, limits, the engine
+against a one-state-at-a-time FIFO reference, the naive oracle, and
+witness replay."""
 
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from arbac import (
     replay,
     slice_policy,
 )
-from arbac._engine import HAVE_NUMBA
-from arbac.analyzer import engine_for
+from arbac import _engine
 from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
@@ -31,7 +31,13 @@ from arbac.model import (
     SafetyQuery,
 )
 
-from helpers import random_policy, single_division_policy
+from helpers import (
+    fifo_reach,
+    mutate_bank,
+    random_policy,
+    single_division_policy,
+    widen,
+)
 
 
 def assign(target, pos=(), neg=()):
@@ -283,33 +289,100 @@ class TestLimits:
                     assert len(capped.witness) == len(unlimited.witness)
 
 
-class TestEngines:
-    def test_engine_resolution(self):
-        assert engine_for(10, "python") == "python"
-        assert engine_for(200, "python") == "python"
-        assert engine_for(64, None) == "python"
-        expected_small = "bitset" if HAVE_NUMBA else "python"
-        assert engine_for(63, None) == expected_small
-        assert engine_for(5, "auto") == expected_small
-        with pytest.raises(ValueError):
-            engine_for(5, "turbo")
+LIMITS = [
+    SearchLimits(max_states, max_depth)
+    for max_states in (None, 1, 4, 16)
+    for max_depth in (None, 1, 2, 3)
+]
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+
+def assert_matches_reference(policy, query, limits_list=LIMITS):
+    """reach on ``policy`` (unsliced) equals the FIFO reference on
+    outcome, states explored and witness, under every limit."""
+    for limits in limits_list:
+        actual = reach(policy, query, limits, use_slicing=False)
+        assert actual == fifo_reach(policy, query, limits), limits
+
+
+def named_rules(policy, verdict):
+    """The rules a verdict's witness applies, in order; comparable across
+    a policy and its slice, whose rule indices differ."""
+    if verdict.witness is None:
+        return None
+    return [
+        (policy.ca if step.kind is ActionKind.ASSIGN else policy.cr)[step.rule_index]
+        for step in verdict.witness.steps
+    ]
+
+
+class TestEngine:
     @pytest.mark.parametrize("seed", range(60))
-    def test_python_engine_matches_bitset(self, seed):
+    def test_engine_matches_fifo_reference(self, seed):
         policy, query = random_policy(seed)
-        fast = reach(policy, query, impl="bitset")
-        slow = reach(policy, query, impl="python")
-        assert fast.outcome is slow.outcome
-        assert fast.states_explored == slow.states_explored
-        assert fast.witness == slow.witness
+        sliced = slice_policy(policy, query)
+        for limits in LIMITS:
+            actual = reach(policy, query, limits)
+            expected = fifo_reach(sliced, query, limits)
+            assert actual.outcome is expected.outcome
+            assert actual.states_explored == expected.states_explored
+            assert named_rules(policy, actual) == named_rules(sliced, expected)
+        assert_matches_reference(policy, query)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_bitset_rejects_oversized_policies(self):
-        from arbac._engine import run_bitset
+    @pytest.mark.parametrize("seed", range(60))
+    def test_depth_limits_agree_with_the_oracle(self, seed):
+        policy, query = random_policy(seed)
+        oracle = oracle_reach(policy, query)
+        for max_depth in (1, 2, 3, 4):
+            verdict = reach(policy, query, SearchLimits(max_depth=max_depth))
+            if oracle.outcome is Outcome.REACHABLE and len(oracle.witness) <= max_depth:
+                assert verdict.outcome is Outcome.REACHABLE
+                assert len(verdict.witness) == len(oracle.witness)
+                assert replay(policy, query, verdict.witness)
+            elif oracle.outcome is Outcome.REACHABLE:
+                assert verdict.outcome is Outcome.UNKNOWN
+            else:
+                assert verdict.outcome in (Outcome.UNREACHABLE, Outcome.UNKNOWN)
 
-        with pytest.raises(ValueError):
-            run_bitset(0, 64, [], None, 0, None, None)
+    @pytest.mark.parametrize("seed", range(0, 60, 3))
+    def test_three_word_states(self, seed):
+        # 130 inert roles interleaved with the corpus roles: 3 words
+        policy, query = widen(*random_policy(seed), extra=130)
+        assert 128 < len(policy.roles) <= 192
+        assert_matches_reference(policy, query)
+        wide, narrow = reach(policy, query), reach(*random_policy(seed))
+        assert (wide.outcome, wide.states_explored, wide.witness) == (
+            narrow.outcome,
+            narrow.states_explored,
+            narrow.witness,
+        )
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_small_chunks(self, cells, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        for seed in range(0, 60, 4):
+            assert_matches_reference(*random_policy(seed))
+        policy = single_division_policy(mutated=True)
+        assert_matches_reference(policy, policy.queries[0], LIMITS[:4])
+
+    def test_two_word_bank_slice(self):
+        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
+        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
+        assert 64 < len(sliced.roles) <= 128
+        query = SafetyQuery("newUser", "AnyFour_1")
+        caps = [SearchLimits(max_states, max_depth)
+                for max_states, max_depth in ((None, None), (1, None), (500, None),
+                                              (None, 2), (500, 7))]
+        assert_matches_reference(sliced, query, caps)
+        verdict = reach(sliced, query, use_slicing=False)
+        assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 7
+
+    def test_hierarchical_bank_slice(self):
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("FA-Clerk@1", "FA@2", "Employee@2"):
+            query = SafetyQuery("newUser", target)
+            sliced = slice_policy(bank, query)
+            assert not sliced.hierarchy.is_empty()
+            assert_matches_reference(sliced, query, LIMITS[::3])
 
 
 class TestOracle:

@@ -222,14 +222,12 @@ class TestCheck:
         assert main(["check", str(tmp_path / "absent.arbac")]) == 1
         assert "cannot read" in capsys.readouterr()[1]
 
-    @pytest.mark.parametrize("engine", ["python", "bitset", "auto"])
-    def test_engine_selection(self, tmp_path, engine):
-        from arbac._engine import HAVE_NUMBA
-
-        if engine == "bitset" and not HAVE_NUMBA:
-            pytest.skip("numba unavailable")
+    def test_engine_option_is_gone(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN_TEXT)
-        assert main(["check", path, "--engine", engine]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", path, "--engine", "python"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --engine" in capsys.readouterr()[1]
 
     def test_no_slicing_flag(self, tmp_path, capsys):
         path = write(tmp_path, UNREACHABLE_TEXT)
