@@ -19,11 +19,17 @@ removing a revoke of a role no kept rule tests negatively can only
 shorten witnesses never enable them, so verdicts and shortest witness
 lengths are preserved; the differential tests check this against the
 unsliced search and the oracle.
+
+The lookups slicing reads (the can_assign rules of each target, each
+role's seniors, the revokes under each role) are built once per
+``Policy`` object, taking one downward closure per role, and then serve
+every query on it, so a slice walks only its query's cone. Memoizing
+them is sound because every field of a ``Policy`` is immutable and a
+slice is always a new ``Policy``, never an edited one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,8 +40,6 @@ from .model import (
     ActionKind,
     ActionStep,
     ArbacError,
-    CanAssignRule,
-    CanRevokeRule,
     InvalidPolicy,
     Policy,
     RoleHierarchy,
@@ -128,56 +132,28 @@ def _require_well_formed(policy: Policy) -> None:
         )
 
 
-def _relevant_roles(policy: Policy, target: str) -> set[str]:
-    if policy.hierarchy.is_empty():
-        seniors_of: dict[str, set[str]] | None = None
-    else:
-        seniors_of = defaultdict(set)
-        for role in policy.roles:
-            for junior in policy.hierarchy.downward_closure({role}):
-                seniors_of[junior].add(role)
-    rules_by_target: dict[str, list[CanAssignRule]] = defaultdict(list)
-    for rule in policy.ca:
-        rules_by_target[rule.target].append(rule)
-
-    relevant: set[str] = set()
-    stack = [target]
-    while stack:
-        role = stack.pop()
-        if role in relevant:
-            continue
-        relevant.add(role)
-        if seniors_of is not None:
-            stack.extend(seniors_of.get(role, ()))
-        for rule in rules_by_target.get(role, ()):
-            stack.extend(rule.pre.positive)
-            stack.extend(rule.pre.negative)
-    return relevant
-
-
 def _slice_with_maps(
     policy: Policy, query: SafetyQuery
 ) -> tuple[Policy, list[int], list[int]]:
     """Slice plus the mapping from sliced rule indices back to the
     original policy, so witnesses always refer to original rules."""
-    relevant = _relevant_roles(policy, query.target)
+    ca_by_target, seniors_of, cr_under = policy._slice_index
+    relevant = {query.target}
+    stack = [query.target]
+    while stack:
+        role = stack.pop()
+        found = set(seniors_of.get(role, ()))
+        for i in ca_by_target.get(role, ()):
+            found |= policy.ca[i].pre.positive
+            found |= policy.ca[i].pre.negative
+        found -= relevant
+        relevant |= found
+        stack.extend(found)
 
-    ca_map = [i for i, rule in enumerate(policy.ca) if rule.target in relevant]
+    ca_map = sorted(i for role in relevant for i in ca_by_target.get(role, ()))
     kept_ca = tuple(policy.ca[i] for i in ca_map)
-
-    negatives: set[str] = set()
-    for rule in kept_ca:
-        negatives |= rule.pre.negative
-
-    hierarchy = policy.hierarchy
-    if hierarchy.is_empty():
-        cr_map = [i for i, rule in enumerate(policy.cr) if rule.target in negatives]
-    else:
-        cr_map = [
-            i
-            for i, rule in enumerate(policy.cr)
-            if hierarchy.downward_closure({rule.target}) & negatives
-        ]
+    negatives = set().union(*[rule.pre.negative for rule in kept_ca])
+    cr_map = sorted({i for role in negatives for i in cr_under.get(role, ())})
     kept_cr = tuple(policy.cr[i] for i in cr_map)
 
     kept_roles = set(relevant)
@@ -195,7 +171,7 @@ def _slice_with_maps(
         hierarchy=RoleHierarchy(
             tuple(
                 (s, j)
-                for s, j in hierarchy.edges
+                for s, j in policy.hierarchy.edges
                 if s in kept_roles and j in kept_roles
             )
         ),

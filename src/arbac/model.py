@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "ROLE_NAME_RE",
@@ -218,11 +218,11 @@ class Policy:
         object.__setattr__(self, "admin_roles", tuple(self.admin_roles))
         object.__setattr__(self, "queries", tuple(self.queries))
 
-    @property
+    @cached_property
     def role_set(self) -> frozenset[str]:
         return frozenset(self.roles)
 
-    @property
+    @cached_property
     def user_set(self) -> frozenset[str]:
         return frozenset(self.users)
 
@@ -234,6 +234,47 @@ class Policy:
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
         # computed once per policy: every field is immutable
         return tuple(_diagnose(self))
+
+    @cached_property
+    def _slice_index(self) -> _SliceIndex:
+        # computed once per policy, like _diagnostics; meaningful only
+        # for a well-formed policy
+        return _index_for_slicing(self)
+
+
+class _SliceIndex(NamedTuple):
+    """Lookups that relevance slicing reads; shared, so never mutated.
+
+    ``ca_by_target`` maps a role to the can_assign rules targeting it,
+    ascending. ``seniors_of`` maps a role to every role whose downward
+    closure contains it, itself included; it is empty without a
+    hierarchy. ``cr_under`` maps a role to the can_revoke rules whose
+    target's downward closure contains it, ascending: the revokes that
+    can clear it.
+    """
+
+    ca_by_target: dict[str, list[int]]
+    seniors_of: dict[str, list[str]]
+    cr_under: dict[str, list[int]]
+
+
+def _index_for_slicing(policy: Policy) -> _SliceIndex:
+    index = _SliceIndex({}, {}, {})
+    for i, rule in enumerate(policy.ca):
+        index.ca_by_target.setdefault(rule.target, []).append(i)
+    closure: dict[str, frozenset[str]] = {}
+    if not policy.hierarchy.is_empty():
+        # one closure per role serves both the seniors and the revokes
+        closure = {
+            role: policy.hierarchy.downward_closure((role,)) for role in policy.roles
+        }
+        for senior, juniors in closure.items():
+            for junior in juniors:
+                index.seniors_of.setdefault(junior, []).append(senior)
+    for i, rule in enumerate(policy.cr):
+        for role in closure.get(rule.target, (rule.target,)):
+            index.cr_under.setdefault(role, []).append(i)
+    return index
 
 
 class ActionKind(str, Enum):

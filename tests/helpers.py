@@ -1,11 +1,13 @@
 """Shared test fixtures: seeded random policy corpus, the single-division
-micro policy, the clerk-rule mutation used by the detection tests, and a
+micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
-match exactly."""
+match exactly, and a per-query slice derivation that the indexed slicing
+must match exactly."""
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from arbac.analyzer import Outcome, SearchLimits, Verdict, Witness
 from arbac.model import (
@@ -306,3 +308,72 @@ def widen(policy: Policy, query: SafetyQuery, extra: int) -> tuple[Policy, Safet
         ),
         query,
     )
+
+
+def reference_slice(
+    policy: Policy, query: SafetyQuery
+) -> tuple[Policy, list[int], list[int]]:
+    """``_slice_with_maps(policy, query)`` derived from scratch for the
+    one query, scanning every rule: the reference the per-policy
+    index must equal on the sliced policy and both rule maps."""
+    hierarchy = policy.hierarchy
+    seniors_of: dict[str, set[str]] | None = None
+    if not hierarchy.is_empty():
+        seniors_of = defaultdict(set)
+        for role in policy.roles:
+            for junior in hierarchy.downward_closure({role}):
+                seniors_of[junior].add(role)
+    rules_by_target: dict[str, list[CanAssignRule]] = defaultdict(list)
+    for rule in policy.ca:
+        rules_by_target[rule.target].append(rule)
+
+    relevant: set[str] = set()
+    stack = [query.target]
+    while stack:
+        role = stack.pop()
+        if role in relevant:
+            continue
+        relevant.add(role)
+        if seniors_of is not None:
+            stack.extend(seniors_of.get(role, ()))
+        for rule in rules_by_target.get(role, ()):
+            stack.extend(rule.pre.positive)
+            stack.extend(rule.pre.negative)
+
+    ca_map = [i for i, rule in enumerate(policy.ca) if rule.target in relevant]
+    kept_ca = tuple(policy.ca[i] for i in ca_map)
+    negatives: set[str] = set()
+    for rule in kept_ca:
+        negatives |= rule.pre.negative
+    if hierarchy.is_empty():
+        cr_map = [i for i, rule in enumerate(policy.cr) if rule.target in negatives]
+    else:
+        cr_map = [
+            i
+            for i, rule in enumerate(policy.cr)
+            if hierarchy.downward_closure({rule.target}) & negatives
+        ]
+    kept_cr = tuple(policy.cr[i] for i in cr_map)
+
+    kept_roles = set(relevant)
+    kept_roles.update(r for _, r in policy.ua)
+    kept_roles.update(rule.admin for rule in kept_ca)
+    kept_roles.update(rule.admin for rule in kept_cr)
+    kept_roles.update(policy.admin_roles)
+    sliced = Policy(
+        roles=tuple(r for r in policy.roles if r in kept_roles),
+        users=policy.users,
+        ua=policy.ua,
+        ca=kept_ca,
+        cr=kept_cr,
+        hierarchy=RoleHierarchy(
+            tuple(
+                (s, j)
+                for s, j in hierarchy.edges
+                if s in kept_roles and j in kept_roles
+            )
+        ),
+        admin_roles=policy.admin_roles,
+        queries=(query,),
+    )
+    return sliced, ca_map, cr_map

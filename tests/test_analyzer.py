@@ -4,6 +4,9 @@ witness replay."""
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from arbac import (
@@ -18,6 +21,7 @@ from arbac import (
     slice_policy,
 )
 from arbac import _engine
+from arbac.analyzer import _slice_with_maps
 from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
@@ -35,6 +39,7 @@ from helpers import (
     fifo_reach,
     mutate_bank,
     random_policy,
+    reference_slice,
     single_division_policy,
     widen,
 )
@@ -230,6 +235,46 @@ class TestSlicing:
             assert len(sliced.witness) == len(full.witness)
             assert replay(policy, query, sliced.witness)
             assert replay(policy, query, full.witness)
+
+    @pytest.mark.parametrize("source", ["corpus", "hierarchical-bank-2", "mutated-bank-3"])
+    def test_indexed_slice_equals_the_per_query_reference(self, source):
+        if source == "corpus":
+            instances = [(random_policy(seed)[0], "u0") for seed in range(500)]
+            assert {p.hierarchy.is_empty() for p, _ in instances} == {True, False}
+        elif source == "hierarchical-bank-2":
+            instances = [(generate_bank(BankConfig(
+                branches=2, instrumentation="both", hierarchy_mode="hierarchical"
+            )), "newUser")]
+        else:
+            bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
+            instances = [(mutate_bank(bank, 3), "newUser")]
+        for policy, user in instances:
+            for role in policy.roles:
+                query = SafetyQuery(user, role)
+                sliced, ca_map, cr_map = _slice_with_maps(policy, query)
+                expected, ca_ref, cr_ref = reference_slice(policy, query)
+                assert (ca_map, cr_map) == (ca_ref, cr_ref), query
+                assert sliced == expected, query
+
+    def test_index_is_reused_across_queries(self):
+        bank = generate_bank(BankConfig(
+            branches=2, instrumentation="both", hierarchy_mode="hierarchical"
+        ))
+        queries = [SafetyQuery("newUser", role) for role in bank.roles]
+        random.Random(7).shuffle(queries)
+        # the cap ends the few multi-division searches as unknown
+        limits = SearchLimits(max_states=2000)
+        fields_hash = hash(bank)
+        batch = [reach(bank, query, limits) for query in queries]
+        assert {"_slice_index", "role_set", "user_set"} <= vars(bank).keys()
+        assert {v.outcome for v in batch} == set(Outcome)
+        for query, verdict in zip(queries, batch):
+            fresh = dataclasses.replace(bank)
+            assert "_slice_index" not in vars(fresh)
+            assert reach(fresh, query, limits) == verdict, query
+        # memoized attributes are not dataclass fields
+        assert bank == dataclasses.replace(bank)
+        assert hash(bank) == fields_hash == hash(dataclasses.replace(bank))
 
 
 class TestLimits:
