@@ -59,7 +59,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _read_policy_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+    # one char per byte, so parse_policy reports where a non-ASCII byte is
+    with open(path, "r", encoding="latin-1") as fh:
         return fh.read()
 
 

@@ -1,16 +1,19 @@
 """Shared test fixtures: seeded random policy corpus, the single-division
 micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
-match exactly, and a per-query slice derivation that the indexed slicing
+match exactly, a per-query slice derivation that the indexed slicing
+must match exactly, and a char-by-char parser that the regex scanner
 must match exactly."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 
 from arbac.analyzer import Outcome, SearchLimits, Verdict, Witness
 from arbac.model import (
+    RESERVED_WORDS,
     ActionKind,
     ActionStep,
     CanAssignRule,
@@ -22,6 +25,7 @@ from arbac.model import (
     validation_errors,
 )
 from arbac.sop import SopConstraint, compile_sop, compile_sop_monitor
+from arbac.textio import ParseError, SourceSpan
 
 # Mix of plain, hyphenated, underscored and suffixed names to keep the
 # parser honest in round-trip tests.
@@ -377,3 +381,217 @@ def reference_slice(
         queries=(query,),
     )
     return sliced, ca_map, cr_map
+
+
+_SECTION_KEYWORDS = ("Roles", "Users", "UA", "CR", "CA", "RH", "ADMIN", "SPEC")
+
+_PUNCT = {"<": "<", ">": ">", ",": ",", ";": ";", "&": "&", "-": "-"}
+
+_IDENT_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+)
+_IDENT_CONT = _IDENT_START | frozenset("0123456789-@")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident", one of the punctuation chars, or "eof"
+    text: str
+    span: SourceSpan
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch in _IDENT_START:
+            start = i
+            start_col = col
+            while i < n and text[i] in _IDENT_CONT:
+                i += 1
+                col += 1
+            word = text[start:i]
+            tokens.append(_Token("ident", word, SourceSpan(line, start_col, len(word))))
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, SourceSpan(line, col, 1)))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(SourceSpan(line, col, 1), f"unexpected character {ch!r}")
+    tokens.append(_Token("eof", "", SourceSpan(line, col, 0)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, tok: _Token, expected: tuple[str, ...]) -> ParseError:
+        got = "end of input" if tok.kind == "eof" else repr(tok.text)
+        return ParseError(tok.span, f"unexpected {got}", expected)
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise self.fail(tok, (f"'{kind}'",))
+        return self.advance()
+
+    def ident(self) -> str:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.fail(tok, ("identifier",))
+        if tok.text in RESERVED_WORDS:
+            raise ParseError(
+                tok.span, f"{tok.text!r} is reserved and cannot be used as a name"
+            )
+        self.advance()
+        return tok.text
+
+    def ident_list(self) -> list[str]:
+        names = [self.ident()]
+        while self.peek().kind == "ident":
+            names.append(self.ident())
+        return names
+
+    def pair(self) -> tuple[str, str]:
+        self.expect("<")
+        first = self.ident()
+        self.expect(",")
+        second = self.ident()
+        self.expect(">")
+        return first, second
+
+    def pair_list(self) -> list[tuple[str, str]]:
+        pairs = []
+        while self.peek().kind == "<":
+            pairs.append(self.pair())
+        return pairs
+
+    def condition(self) -> Precondition:
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text == "TRUE":
+            self.advance()
+            return Precondition()
+        positive: list[str] = []
+        negative: list[str] = []
+        while True:
+            if self.peek().kind == "-":
+                self.advance()
+                negative.append(self.ident())
+            else:
+                positive.append(self.ident())
+            if self.peek().kind != "&":
+                break
+            self.advance()
+        return Precondition(frozenset(positive), frozenset(negative))
+
+    def ca_entry(self) -> CanAssignRule:
+        self.expect("<")
+        admin = self.ident()
+        self.expect(",")
+        pre = self.condition()
+        self.expect(",")
+        target = self.ident()
+        self.expect(">")
+        return CanAssignRule(admin, pre, target)
+
+    def policy(self) -> Policy:
+        roles: list[str] = []
+        users: list[str] = []
+        ua: list[tuple[str, str]] = []
+        cr: list[CanRevokeRule] = []
+        ca: list[CanAssignRule] = []
+        rh: list[tuple[str, str]] = []
+        admin: list[str] = []
+        queries: list[SafetyQuery] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                break
+            if tok.kind != "ident" or tok.text not in _SECTION_KEYWORDS:
+                raise self.fail(
+                    tok, tuple(f"'{k}'" for k in _SECTION_KEYWORDS)
+                )
+            self.advance()
+            section = tok.text
+            if section == "Roles":
+                roles.extend(self.ident_list())
+            elif section == "Users":
+                users.extend(self.ident_list())
+            elif section == "ADMIN":
+                admin.extend(self.ident_list())
+            elif section == "UA":
+                ua.extend(self.pair_list())
+            elif section == "RH":
+                rh.extend(self.pair_list())
+            elif section == "CR":
+                cr.extend(CanRevokeRule(a, t) for a, t in self.pair_list())
+            elif section == "CA":
+                while self.peek().kind == "<":
+                    ca.append(self.ca_entry())
+            else:  # SPEC
+                user = self.ident()
+                target = self.ident()
+                queries.append(SafetyQuery(user, target))
+            self.expect(";")
+        return Policy(
+            roles=tuple(roles),
+            users=tuple(users),
+            ua=tuple(ua),
+            ca=tuple(ca),
+            cr=tuple(cr),
+            hierarchy=RoleHierarchy(tuple(rh)),
+            admin_roles=tuple(admin),
+            queries=tuple(queries),
+        )
+
+
+def reference_parse(text: str) -> Policy:
+    """``parse_policy(text)`` by a char-by-char tokenizer that tracks
+    line and column for every token: the reference the regex scanner
+    must equal on the policy, or on the error's span, message and
+    ``expected``."""
+    if not text.isascii():
+        bad_line = 1
+        bad_col = 1
+        for ch in text:
+            if ord(ch) > 127:
+                break
+            if ch == "\n":
+                bad_line += 1
+                bad_col = 1
+            else:
+                bad_col += 1
+        raise ParseError(
+            SourceSpan(bad_line, bad_col, 1), "input is not 7-bit ASCII"
+        )
+    return _Parser(_tokenize(text)).policy()

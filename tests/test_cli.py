@@ -216,6 +216,13 @@ class TestCheck:
         err = capsys.readouterr()[1]
         assert "error:" in err and path in err
 
+    def test_non_ascii_file_error_has_a_location(self, tmp_path, capsys):
+        path = tmp_path / "policy.arbac"
+        path.write_bytes(b"Roles A ;\nUsers \xc3\xa9 ;\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr()[1]
+        assert f"{path}: 2:7: input is not 7-bit ASCII" in err
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         text = "Roles Admin A ;\nUsers u ;\nCA <Admin, TRUE, ghost> ;\nSPEC u A ;\n"
         path = write(tmp_path, text)

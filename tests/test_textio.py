@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     CanAssignRule,
     CanRevokeRule,
@@ -16,9 +17,9 @@ from arbac.model import (
     RoleHierarchy,
     SafetyQuery,
 )
-from arbac.textio import ParseError, parse_policy, serialize_policy
+from arbac.textio import _LEX_BLOCK, ParseError, parse_policy, serialize_policy
 
-from helpers import random_policy
+from helpers import mutate_bank, random_policy, reference_parse
 
 
 class TestParse:
@@ -107,6 +108,7 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_policy("Roles Ä ;")
         assert "ASCII" in str(exc.value)
+        assert (exc.value.span.line, exc.value.span.column) == (1, 7)
 
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
@@ -120,6 +122,96 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_policy("Roles A ; <")
         assert "'Roles'" in str(exc.value)  # expected-section hint
+
+
+def assert_parses_like_reference(text: str) -> None:
+    """parse_policy and the char-by-char reference give the same Policy,
+    or a ParseError with the same span, message and expected list."""
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return exc.span, exc.message, exc.expected
+
+    assert outcome(parse_policy) == outcome(reference_parse), repr(text)
+
+
+class TestScannerMatchesReference:
+    def test_corpus_canonical_texts(self):
+        for seed in range(500):
+            assert_parses_like_reference(serialize_policy(random_policy(seed)[0]))
+
+    @pytest.mark.parametrize(
+        "branches, hierarchy, mutated",
+        [(1, "flat", False), (3, "flat", False), (2, "hierarchical", False),
+         (3, "flat", True)],
+    )
+    def test_bank_texts(self, branches, hierarchy, mutated):
+        bank = generate_bank(BankConfig(
+            branches=branches, instrumentation="both", hierarchy_mode=hierarchy
+        ))
+        if mutated:
+            bank = mutate_bank(bank, 3)
+        assert_parses_like_reference(serialize_policy(bank))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            " \t\r\n",
+            "Roles A ; // comment at end of input",
+            "Roles A ; //",
+            "Roles A ; / B ;",
+            "Roles A ; /",
+            "Roles A// comment right after a token\n;",
+            "CA <A,TRUE,B>// after punctuation\n;",
+            "Roles A ;\r\nUsers u ;\r\n",
+            "Roles\tA\t;\tUsers\tu\t;",
+            "Roles A\f;",
+            "Roles 1A ;",
+            "Roles @A ;",
+            "Roles A ;\nRoles ; Users u $ ;",
+            "Roles A B",
+            "Roles A ; CA <A, TRUE",
+            "Roles A ; CA <A, -B&",
+            "// header\nRoles A ; // note\nCA <A B, C> ;",
+            "Roles A ; CA <A, B, C>\n// one\n// two",
+            "Roles A ; CA <A, B, C>\n// trailing\n\n  ",
+            "Roles A ;\nCA <A, TRUE&B, B> ;",
+            "Roles A B ;\nCA <A, -B&-C&D, B> ;\nSPEC u B ;",
+            "Roles A ;\nSPEC u TRUE ;",
+            "Roles A-B--C@@1 _ ;",
+            "Roles A ; ; ;",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert_parses_like_reference(text)
+
+    def test_texts_longer_than_a_lexer_block(self):
+        lines = [f"Roles R{i} ; // ${'$' * (i % 23)}\n" for i in range(3 * _LEX_BLOCK // 20)]
+        text = "".join(lines)
+        assert len(text) > 3 * _LEX_BLOCK
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(text + "Users u $ ;\n")
+        assert_parses_like_reference(text + "Users u ;\nCA <R1 R2> ;\n")
+        one_line = "Roles " + "A " * _LEX_BLOCK
+        assert_parses_like_reference(one_line + ";")
+        assert_parses_like_reference(one_line + "$ ;")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            list("RolesUrCAMINTUESP<>,;&-@_/$01ab \t\r\n\f\0é")
+            + ["Roles", "Users", "UA", "CA", "CR", "RH", "TRUE", "SPEC", "//"]
+        ),
+        max_size=60,
+    ).map("".join)
+)
+def test_scanner_matches_reference_on_arbitrary_text(text):
+    assert_parses_like_reference(text)
 
 
 class TestSerialize:
