@@ -3,12 +3,11 @@
 A state is one row of ``W = ceil(roles / 64)`` uint64 words, bit ``i``
 standing for role ``i`` of the (already sliced) policy. Each BFS level
 is expanded at once in numpy. Per frontier chunk of about ``CELLS``
-(state, action) pairs, every action is tested on every state as one
-boolean broadcast, ``nonzero`` lists the enabled pairs, and the children
-are the parents with the action's target bit flipped. Sorting the
-children's keys keeps the first occurrence of each child, and
-``searchsorted`` into the sorted keys of all visited states drops the
-visited ones.
+(state, action) pairs, the actions each state enables form one boolean
+matrix, ``nonzero`` lists the enabled pairs, and the children are the
+parents with the action's target bit flipped. Sorting the children's
+keys keeps the first occurrence of each child, and ``searchsorted``
+into the sorted keys of all visited states drops the visited ones.
 
 An action passes when ``(words & test) == need`` holds on every word.
 For flat policies the words are the state itself. With a hierarchy they
@@ -17,6 +16,19 @@ downward closure of every senior role it holds), so one test can look
 at both: the target bit in the state, the precondition in the
 authorized set.
 
+Byte lemma: ``&`` and ``==`` act bit by bit, so that test holds on
+every word exactly when it holds on every byte of the words. The enable
+table therefore holds, for each byte position some action tests, 256
+rows: row ``v`` is the bitset of the actions whose test on that byte
+passes for the value ``v``. Bytes no action tests pass every action. A
+state's enabled actions are the AND of the rows its tested bytes pick,
+P lookups of ``ceil(A / 64)`` words instead of A word tests per tested
+word. Building the table takes 256 P A cells, more than a whole small
+search costs, so a search builds it once, at the first level whose
+broadcast would fill a chunk (``n * A >= CELLS``), and tests the levels
+before it by broadcast. Packed keys (below) start at the same level;
+on the short lists of smaller levels an argsort costs less.
+
 Ordering lemma: the result (verdict, states popped, witness) equals that
 of the FIFO search that pops one state at a time, tests it against the
 goal, and enqueues its unvisited children in action order. That queue
@@ -24,13 +36,20 @@ holds the states level by level, and level d+1 in the order of first
 occurrence in the (parent, action) enumeration of level d. ``nonzero``
 over a frontier kept in queue order lists the children in exactly that
 order, row-major, so the first occurrence kept here is the one the FIFO
-search enqueued, with the same parent and action. The goal test and the
-``max_states`` cap then only need a state's position in the queue, and
-``max_depth`` only its level. A chunk that yields an unvisited goal
-state ends the level early: every state queued before that goal state
-comes from this chunk or an earlier one.
+search enqueued, with the same parent and action, and selecting the
+kept ones from that list by a mask keeps them in queue order. The goal
+test and the ``max_states`` cap then only need a state's position in
+the queue, and ``max_depth`` only its level. A chunk that yields an
+unvisited goal state ends the level early: every state queued before
+that goal state comes from this chunk or an earlier one.
 
 A state's sort key is its one word, or for wider states its raw bytes.
+Packed-key lemma: when single-word states lie below ``2 ** h`` and a
+list of them is shorter than ``2 ** s`` with ``h + s <= 64``, the words
+``(state << s) | position`` sort by state, then by position, so in one
+sort of them the first word of each run of equal states holds that
+state's first occurrence. Otherwise the keys are argsorted and each run
+keeps its least position.
 """
 
 from __future__ import annotations
@@ -39,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# broadcast cells (frontier states x actions) tested per chunk
+# (state, action) cells per frontier chunk: states x actions
 CELLS = 1 << 20
 
 
@@ -83,48 +102,102 @@ def _tested_words(program: Program, states: np.ndarray) -> np.ndarray:
     return np.concatenate((states, states | np.bitwise_or.reduce(below, axis=1)), axis=1)
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in sorted order, each with the position of its
-    first occurrence."""
+class EnableTable(NamedTuple):
+    """The actions that each value of each tested byte allows."""
+
+    at: np.ndarray  # (P,) byte positions some action tests, in the words' bytes
+    rows: np.ndarray  # (P, 256, ceil(A / 64)) uint64 bitsets of actions
+
+
+def _enable_table(program: Program) -> EnableTable:
+    n_act = program.test.shape[1]
+    test = np.ascontiguousarray(program.test.T).view(np.uint8).T  # (bytes, A)
+    need = np.ascontiguousarray(program.need.T).view(np.uint8).T
+    at = np.flatnonzero(test.any(axis=1))
+    value = np.arange(256, dtype=np.uint8)[:, None]
+    ok = (value & test[at, None, :]) == need[at, None, :]  # (P, 256, A)
+    ok = np.pad(ok, ((0, 0), (0, 0), (0, -n_act % 64)))
+    return EnableTable(at, np.packbits(ok, axis=2, bitorder="little").view(np.uint64))
+
+
+def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> np.ndarray:
+    """(len(words), A) bool: the actions the tested ``words`` allow,
+    looked up in ``table`` or, without one, tested by broadcast."""
+    test, need = program.test, program.need
+    if table is None:
+        ok = (words[:, :1] & test[0]) == need[0]
+        for w in range(1, len(test)):
+            ok &= (words[:, w : w + 1] & test[w]) == need[w]
+        return ok
+    # every action tests its target bit, so at least one byte is tested
+    values = words.view(np.uint8)[:, table.at]
+    bits = table.rows[0][values[:, 0]]
+    for p in range(1, len(table.at)):
+        bits &= table.rows[p][values[:, p]]
+    # nonzero runs faster on a bool array than on a uint8 one
+    ok = np.unpackbits(bits.view(np.uint8), axis=1, count=test.shape[1], bitorder="little")
+    return ok.view(np.bool_)
+
+
+def _distinct(keys: np.ndarray, high: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each distinct key's first occurrence, and the
+    distinct keys in sorted order. A given ``high`` bounds uint64 keys
+    below ``2 ** high``, so that they may be packed with positions."""
     if not len(keys):
         return np.zeros(0, np.intp), keys
-    order = keys.argsort()
-    ordered = keys[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1])).nonzero()[0]
-    return np.minimum.reduceat(order, starts), ordered[starts]
+    shift = (len(keys) - 1).bit_length()
+    if high is None or high + shift > 64:
+        order = keys.argsort()
+        ordered = keys[order]
+        starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        return np.minimum.reduceat(order, starts.nonzero()[0]), ordered[starts]
+    # each key packed with its position: equal keys sort by position
+    packed = np.sort((keys << shift) | np.arange(len(keys), dtype=np.uint64))
+    ordered = packed >> shift
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = packed[starts] & ((1 << shift) - 1)
+    return first.astype(np.intp), ordered[starts]
 
 
-def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key):
-    """The unvisited children of ``frontier``, each once: their sorted
-    keys, the broadcast cell (parent * A + action) of each one's first
-    occurrence, and whether one of them meets the goal."""
-    test, need = program.test, program.need
-    n_act = max(1, test.shape[1])
+def _queued(first: np.ndarray, size: int) -> np.ndarray:
+    """Mask of ``size`` entries that is True at the positions ``first``:
+    selecting with it keeps them in their original order."""
+    mask = np.zeros(size, np.bool_)
+    mask[first] = True
+    return mask
+
+
+def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
+            high: int | None, table: EnableTable | None):
+    """The unvisited children of ``frontier``, each once and in queue
+    order, with the broadcast cell (parent * A + action) of each one's
+    first occurrence; their keys in sorted order; and whether one of
+    them meets the goal."""
+    n_act = max(1, program.test.shape[1])
     rows = max(1, CELLS // n_act)
     parts = []
     for lo in range(0, len(frontier), rows):
         chunk = frontier[lo : lo + rows]
-        words = _tested_words(program, chunk)
-        ok = (words[:, :1] & test[0]) == need[0]
-        for w in range(1, len(test)):
-            ok &= (words[:, w : w + 1] & test[w]) == need[w]
+        ok = _enabled(program, _tested_words(program, chunk), table)
         cells = ok.ravel().nonzero()[0]
         parent, action = np.divmod(cells, n_act)
-        children = chunk[parent] ^ program.flip[action]
-        first, keys = _distinct(children.view(key).ravel())
+        children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
+        first, keys = _distinct(children.view(key).ravel(), high)
         at = np.minimum(visited.searchsorted(keys), len(visited) - 1)
         fresh = visited[at] != keys
-        first = first[fresh]
-        parts.append((keys[fresh], cells[first] + lo * n_act))
-        hit = bool((children[first] & program.goal).any())
+        queued = _queued(first[fresh], len(cells))
+        children = children[queued]
+        parts.append((children, cells[queued] + lo * n_act))
+        hit = bool((children & program.goal).any())
         if hit:
             break  # the rest of the level queues behind this goal state
     if len(parts) == 1:
-        return (*parts[0], hit)
-    keys, cells = (np.concatenate(p) for p in zip(*parts))
-    # a key seen in several chunks keeps its earliest chunk's occurrence
-    first, keys = _distinct(keys)
-    return keys, cells[first], hit
+        return (*parts[0], keys[fresh], hit)
+    children, cells = (np.concatenate(p) for p in zip(*parts))
+    # a child found in several chunks keeps its earliest chunk's occurrence
+    first, keys = _distinct(children.view(key).ravel(), high)
+    queued = _queued(first, len(cells))
+    return children[queued], cells[queued], keys, hit
 
 
 def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
@@ -146,6 +219,7 @@ def search(
     # states sort as one uint64 word, or wider as raw bytes
     key = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
     n_act = max(1, len(program.flip))
+    table = high = None  # set when a level first fills a chunk
     frontier = program.init[None, :]
     visited = frontier.view(key).ravel()  # sorted
     hit = bool((program.init & program.goal).any())
@@ -163,13 +237,16 @@ def search(
                 return SearchResult(True, witness, found + 1, False)
         if popped < n:
             return SearchResult(False, None, max_states, True)
-        keys, cells, hit = _expand(program, frontier, visited, key)
+        if table is None and n * len(program.flip) >= CELLS:
+            table = _enable_table(program)
+            if W == 1:  # a state holds only initial and flipped bits
+                held = np.bitwise_or.reduce(program.flip[:, 0], initial=program.init[0])
+                high = int(held).bit_length()
+        frontier, cells, keys, hit = _expand(program, frontier, visited, key, high, table)
         if depth == max_depth or not len(keys):
             return SearchResult(False, None, offset + n, bool(len(keys)))
         # a stable sort of two sorted runs is one linear merge
         visited = np.sort(np.concatenate((visited, keys)), kind="stable")
-        fifo = cells.argsort()
-        cells_seen.append(cells[fifo] + offset * n_act)
-        frontier = keys[fifo].view(np.uint64).reshape(-1, W)
+        cells_seen.append(cells + offset * n_act)
         offset += n
         depth += 1

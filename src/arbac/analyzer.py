@@ -193,6 +193,31 @@ def slice_policy(policy: Policy, query: SafetyQuery) -> Policy:
     return sliced
 
 
+def _closure_masks(hierarchy: RoleHierarchy, index: dict[str, int]) -> dict[str, int]:
+    """The downward closure of every role in an edge of ``hierarchy``,
+    as a mask with bit ``index[r]`` for each role r in it. One pass
+    builds each closure once, from the closures of its juniors; the
+    hierarchy must be acyclic, as validation ensures."""
+    juniors_of: dict[str, list[str]] = {}
+    for senior, junior in hierarchy.edges:
+        juniors_of.setdefault(senior, []).append(junior)
+    masks: dict[str, int] = {}
+    stack = list(juniors_of)
+    while stack:
+        role = stack[-1]
+        juniors = juniors_of.get(role, ())
+        todo = [j for j in juniors if j not in masks]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        mask = 1 << index[role]
+        for junior in juniors:
+            mask |= masks[junior]
+        masks[role] = mask
+    return masks
+
+
 def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
     """The search program of ``query`` on ``policy``, built from role
     indices: one bit per role, one action per can_assign rule (in
@@ -216,17 +241,13 @@ def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
     cells += [3 * plane + row[a] + index[r.target] for a, r in enumerate(policy.cr, n_ca)]
     cells += [4 * plane + index[role] for role in policy.initial_roles(query.user)]
     target = index[query.target]
-    # the roles whose holding authorizes the target, and the closure of
-    # every role with juniors
-    granted_by = [target]
+    # the closure of every role with juniors, and the roles whose holding
+    # authorizes the target
     seniors = sorted({index[senior] for senior, _ in policy.hierarchy.edges})
-    below: list[int] = []
-    for k, s in enumerate(seniors):
-        juniors = policy.hierarchy.downward_closure((roles[s],))
-        below += [k * width + index[r] for r in juniors]
-        if s != target and query.target in juniors:
-            granted_by.append(s)
-    cells += [4 * plane + width + r for r in granted_by]
+    masks = _closure_masks(policy.hierarchy, index)
+    below = [masks[roles[s]] for s in seniors]
+    granted_by = [s for s, mask in zip(seniors, below) if s != target and mask >> target & 1]
+    cells += [4 * plane + width + r for r in (target, *granted_by)]
     bits = _engine.set_bits((4 * n_act + 2, n_words), cells)
     pos, neg, assigned, revoked = bits[:-2].reshape(4, n_act, n_words)
     init, goal = bits[-2:]
@@ -238,7 +259,10 @@ def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
     # precondition
     test = np.concatenate((flip.T, (pos | neg).T))
     need = np.concatenate((revoked.T, pos.T))
-    closure = _engine.set_bits((len(seniors), n_words), below)
+    # mask bit p is bit p % 64 of word p // 64, as in set_bits
+    closure = np.frombuffer(
+        b"".join(mask.to_bytes(8 * n_words, "little") for mask in below), "<u8"
+    ).reshape(-1, n_words).astype(np.uint64)
     seniors = np.array(seniors)
     held_bit = (seniors >> 6, (seniors & 63).astype(np.uint64))
     return _engine.Program(init, test, need, flip, goal, held_bit, closure)

@@ -59,8 +59,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _read_policy_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    # one char per byte, so parse_policy reports where a non-ASCII byte is
-    with open(path, "r", encoding="latin-1") as fh:
+    # one char per byte, so parse_policy reports where a non-ASCII byte is,
+    # and no newline translation, so a lone \r stays a blank as on stdin
+    with open(path, "r", encoding="latin-1", newline="") as fh:
         return fh.read()
 
 

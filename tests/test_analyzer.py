@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from arbac import (
@@ -21,7 +22,7 @@ from arbac import (
     slice_policy,
 )
 from arbac import _engine
-from arbac.analyzer import _slice_with_maps
+from arbac.analyzer import _closure_masks, _compile_masks, _slice_with_maps
 from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
@@ -175,6 +176,25 @@ class TestHierarchy:
             ActionStep(ActionKind.ASSIGN, 0, "prize"),
         )
         assert replay(policy, query, verdict.witness)
+
+    def test_closure_masks_equal_downward_closures(self):
+        hierarchies = [p.hierarchy for p, _ in map(random_policy, range(500))]
+        hierarchies.append(generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical")).hierarchy)
+        # a diamond, and a chain deeper than the recursion limit, listed
+        # junior end first
+        hierarchies.append(RoleHierarchy((("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))))
+        chain = [f"r{i}" for i in range(1200)]
+        hierarchies.append(RoleHierarchy(tuple(zip(chain[-2::-1], chain[:0:-1]))))
+        tested = 0
+        for hierarchy in hierarchies:
+            roles = sorted({r for edge in hierarchy.edges for r in edge})
+            index = {role: i for i, role in enumerate(roles)}
+            masks = _closure_masks(hierarchy, index)
+            for senior in {s for s, _ in hierarchy.edges}:
+                expected = hierarchy.downward_closure((senior,))
+                assert {r for r in roles if masks[senior] >> index[r] & 1} == expected
+                tested += 1
+        assert tested > 1200
 
 
 class TestSlicing:
@@ -428,6 +448,62 @@ class TestEngine:
             sliced = slice_policy(bank, query)
             assert not sliced.hierarchy.is_empty()
             assert_matches_reference(sliced, query, LIMITS[::3])
+
+    def test_bank_slices_in_small_chunks(self, monkeypatch):
+        # every level fills a chunk, so the enable table tests two-word
+        # states and, with a hierarchy, authorized-set words
+        monkeypatch.setattr(_engine, "CELLS", 64)
+        self.test_two_word_bank_slice()
+        self.test_hierarchical_bank_slice()
+
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_wide_single_word_states(self, cells, monkeypatch):
+        # 59-64 roles, the top one an inert role every state holds: one
+        # word that packs with a position only in lists of at most 32
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        instances = [random_policy(seed) for seed in range(1, 60, 3)]
+        instances += [(p, p.queries[0]) for p in map(single_division_policy, (False, True))]
+        for policy, query in instances:
+            for top in (61, 64):
+                extra = top - len(policy.roles)
+                wide, query = widen(policy, query, extra=extra - (extra - 1) % 3)
+                assert 58 < len(wide.roles) <= 64
+                assert_matches_reference(wide, query)
+
+    @pytest.mark.parametrize("high", [1, 3, 20, 44, 61, 63, 64])
+    def test_distinct_keeps_first_occurrences(self, high):
+        rng = np.random.default_rng(high)
+        for size in (0, 1, 2, 3, 4, 5, 8, 9, 100, 4097):
+            pool = rng.integers(0, 2**high, size=max(1, size // 3), dtype=np.uint64)
+            keys = rng.choice(pool, size)
+            first, distinct = _engine._distinct(keys, high)
+            expected = sorted({int(k): i for i, k in reversed(list(enumerate(keys)))}.items())
+            assert distinct.tolist() == [k for k, _ in expected]
+            assert first.tolist() == [i for _, i in expected]
+
+    def test_enable_table_matches_broadcast(self):
+        """The table's enable bits equal the broadcast test exactly, on
+        random states (reachable or not) of every corpus program."""
+        rng = np.random.default_rng(0)
+        instances = [random_policy(seed) for seed in range(500)]
+        instances += [widen(*random_policy(seed), extra=130) for seed in range(0, 500, 25)]
+        tested = hierarchical = 0
+        for policy, query in instances:
+            for sliced in (policy, slice_policy(policy, query)):
+                program = _compile_masks(sliced, query)
+                if not len(program.flip):
+                    continue
+                tested += 1
+                hierarchical += program.closure is not None
+                states = rng.integers(0, 2**64, size=(200, len(program.init)), dtype=np.uint64)
+                states[0], states[1] = 0, ~np.uint64(0)
+                words = _engine._tested_words(program, states)
+                table = _engine._enable_table(program)
+                assert np.array_equal(
+                    _engine._enabled(program, words, table),
+                    _engine._enabled(program, words, None),
+                )
+        assert tested > 900 and hierarchical > 150
 
 
 class TestOracle:

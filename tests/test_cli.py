@@ -223,6 +223,13 @@ class TestCheck:
         err = capsys.readouterr()[1]
         assert f"{path}: 2:7: input is not 7-bit ASCII" in err
 
+    def test_lone_carriage_return_is_located_as_on_stdin(self, tmp_path, capsys):
+        # parse_policy takes a lone \r as a blank, not a line break
+        path = tmp_path / "policy.arbac"
+        path.write_bytes(b"Roles A ;\rUsers u $ ;\n")
+        assert main(["check", str(path)]) == 1
+        assert f"{path}: 1:19:" in capsys.readouterr()[1]
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         text = "Roles Admin A ;\nUsers u ;\nCA <Admin, TRUE, ghost> ;\nSPEC u A ;\n"
         path = write(tmp_path, text)
