@@ -45,7 +45,6 @@ from .model import (
     validation_errors,
 )
 from .sop import (
-    SopCompilation,
     SopConstraint,
     SopError,
     compile_sop,
@@ -88,7 +87,6 @@ __all__ = [
     "RoleHierarchy",
     "SafetyQuery",
     "Severity",
-    "SopCompilation",
     "SopConstraint",
     "SopError",
     "SourceSpan",

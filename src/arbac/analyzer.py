@@ -22,16 +22,28 @@ unsliced search and the oracle.
 
 The lookups slicing reads (the can_assign rules of each target, each
 role's seniors, the revokes under each role) are built once per
-``Policy`` object, taking one downward closure per role, and then serve
-every query on it, so a slice walks only its query's cone. Memoizing
-them is sound because every field of a ``Policy`` is immutable and a
-slice is always a new ``Policy``, never an edited one.
+``Policy`` object from the hierarchy's closures, which are themselves
+computed once per hierarchy (``RoleHierarchy.closures``); they then
+serve every query on it, so a slice walks only its query's cone.
+Memoizing them is sound because every field of a ``Policy`` is
+immutable and a slice is always a new ``Policy``, never an edited one.
+
+``reach`` compiles its search program straight from the cone (the kept
+roles and the kept rules' indices) without building the sliced
+``Policy``. Its closure rows are the policy's closures restricted to the
+kept roles. They differ from the sliced hierarchy's only where a path
+runs through a dropped role, and then they differ only on a kept role
+that no kept rule tests and the goal does not hold (a relevant role's
+seniors are all relevant, so none is dropped). The enabled actions and
+the goal test are therefore those of ``slice_policy``'s program; a
+differential test checks this on every role of the corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -132,11 +144,10 @@ def _require_well_formed(policy: Policy) -> None:
         )
 
 
-def _slice_with_maps(
-    policy: Policy, query: SafetyQuery
-) -> tuple[Policy, list[int], list[int]]:
-    """Slice plus the mapping from sliced rule indices back to the
-    original policy, so witnesses always refer to original rules."""
+def _cone(policy: Policy, query: SafetyQuery) -> tuple[list[str], list[int], list[int]]:
+    """The relevance cone of ``query``: the kept roles in declaration
+    order, and the kept can_assign and can_revoke rules as ascending
+    indices into ``policy``, so witnesses always refer to its rules."""
     ca_by_target, seniors_of, cr_under = policy._slice_index
     relevant = {query.target}
     stack = [query.target]
@@ -151,34 +162,15 @@ def _slice_with_maps(
         stack.extend(found)
 
     ca_map = sorted(i for role in relevant for i in ca_by_target.get(role, ()))
-    kept_ca = tuple(policy.ca[i] for i in ca_map)
-    negatives = set().union(*[rule.pre.negative for rule in kept_ca])
+    negatives = set().union(*[policy.ca[i].pre.negative for i in ca_map])
     cr_map = sorted({i for role in negatives for i in cr_under.get(role, ())})
-    kept_cr = tuple(policy.cr[i] for i in cr_map)
 
     kept_roles = set(relevant)
     kept_roles.update(r for _, r in policy.ua)
-    kept_roles.update(rule.admin for rule in kept_ca)
-    kept_roles.update(rule.admin for rule in kept_cr)
+    kept_roles.update(policy.ca[i].admin for i in ca_map)
+    kept_roles.update(policy.cr[i].admin for i in cr_map)
     kept_roles.update(policy.admin_roles)
-
-    sliced = Policy(
-        roles=tuple(r for r in policy.roles if r in kept_roles),
-        users=policy.users,
-        ua=policy.ua,
-        ca=kept_ca,
-        cr=kept_cr,
-        hierarchy=RoleHierarchy(
-            tuple(
-                (s, j)
-                for s, j in policy.hierarchy.edges
-                if s in kept_roles and j in kept_roles
-            )
-        ),
-        admin_roles=policy.admin_roles,
-        queries=(query,),
-    )
-    return sliced, ca_map, cr_map
+    return [r for r in policy.roles if r in kept_roles], ca_map, cr_map
 
 
 def slice_policy(policy: Policy, query: SafetyQuery) -> Policy:
@@ -189,43 +181,46 @@ def slice_policy(policy: Policy, query: SafetyQuery) -> Policy:
     """
     _require_well_formed(policy)
     _check_query(policy, query)
-    sliced, _, _ = _slice_with_maps(policy, query)
-    return sliced
+    roles, ca_map, cr_map = _cone(policy, query)
+    kept = set(roles)
+    return Policy(
+        roles=tuple(roles),
+        users=policy.users,
+        ua=policy.ua,
+        ca=tuple(policy.ca[i] for i in ca_map),
+        cr=tuple(policy.cr[i] for i in cr_map),
+        hierarchy=RoleHierarchy(
+            tuple((s, j) for s, j in policy.hierarchy.edges if s in kept and j in kept)
+        ),
+        admin_roles=policy.admin_roles,
+        queries=(query,),
+    )
 
 
-def _closure_masks(hierarchy: RoleHierarchy, index: dict[str, int]) -> dict[str, int]:
-    """The downward closure of every role in an edge of ``hierarchy``,
-    as a mask with bit ``index[r]`` for each role r in it. One pass
-    builds each closure once, from the closures of its juniors; the
-    hierarchy must be acyclic, as validation ensures."""
-    juniors_of: dict[str, list[str]] = {}
-    for senior, junior in hierarchy.edges:
-        juniors_of.setdefault(senior, []).append(junior)
-    masks: dict[str, int] = {}
-    stack = list(juniors_of)
-    while stack:
-        role = stack[-1]
-        juniors = juniors_of.get(role, ())
-        todo = [j for j in juniors if j not in masks]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        mask = 1 << index[role]
-        for junior in juniors:
-            mask |= masks[junior]
-        masks[role] = mask
-    return masks
+def _compile_masks(
+    policy: Policy,
+    query: SafetyQuery,
+    roles: Sequence[str],
+    ca_map: Sequence[int],
+    cr_map: Sequence[int],
+) -> _engine.Program:
+    """The search program of ``query`` on ``policy`` restricted to
+    ``roles`` and the rules of ``ca_map`` and ``cr_map``, built from role
+    indices: one bit per kept role, one action per kept can_assign rule
+    (in the maps' order) then per kept can_revoke rule.
 
-
-def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
-    """The search program of ``query`` on ``policy``, built from role
-    indices: one bit per role, one action per can_assign rule (in
-    declaration order) then per can_revoke rule."""
-    roles = policy.roles
+    Closure rows are the hierarchy's closures restricted to the kept
+    roles. On a cone they can differ from the rows of ``slice_policy``'s
+    hierarchy, which keeps only edges between kept roles, in one case: a
+    path from a kept senior through a dropped role to a kept junior k.
+    Then k is not relevant, since a relevant role's seniors are relevant
+    and the dropped role would have been kept; so no kept rule tests k
+    and the goal does not hold it, and the enabled actions and the goal
+    test are identical.
+    """
     index = {role: i for i, role in enumerate(roles)}
-    n_ca = len(policy.ca)
-    n_act = n_ca + len(policy.cr)
+    n_ca = len(ca_map)
+    n_act = n_ca + len(cr_map)
     n_words = max(1, (len(roles) + 63) // 64)
     width = 64 * n_words
 
@@ -234,18 +229,26 @@ def _compile_masks(policy: Policy, query: SafetyQuery) -> _engine.Program:
     # initial state and the goal
     row = [a * width for a in range(n_act)]
     plane = n_act * width
-    ca = list(enumerate(policy.ca))
+    ca = [(a, policy.ca[i]) for a, i in enumerate(ca_map)]
+    cr = [(a, policy.cr[i]) for a, i in enumerate(cr_map, n_ca)]
     cells = [row[a] + index[r] for a, rule in ca for r in rule.pre.positive]
     cells += [plane + row[a] + index[r] for a, rule in ca for r in rule.pre.negative]
     cells += [2 * plane + row[a] + index[rule.target] for a, rule in ca]
-    cells += [3 * plane + row[a] + index[r.target] for a, r in enumerate(policy.cr, n_ca)]
+    cells += [3 * plane + row[a] + index[r.target] for a, r in cr]
     cells += [4 * plane + index[role] for role in policy.initial_roles(query.user)]
     target = index[query.target]
-    # the closure of every role with juniors, and the roles whose holding
-    # authorizes the target
-    seniors = sorted({index[senior] for senior, _ in policy.hierarchy.edges})
-    masks = _closure_masks(policy.hierarchy, index)
-    below = [masks[roles[s]] for s in seniors]
+    # the closure of every kept role with a kept junior, and the roles
+    # whose holding authorizes the target
+    closures = policy.hierarchy.closures
+    seniors, below = [], []
+    for s, role in enumerate(roles):
+        mask = 0
+        for junior in closures.get(role, ()):
+            if junior in index:
+                mask |= 1 << index[junior]
+        if mask & ~(1 << s):
+            seniors.append(s)
+            below.append(mask)
     granted_by = [s for s, mask in zip(seniors, below) if s != target and mask >> target & 1]
     cells += [4 * plane + width + r for r in (target, *granted_by)]
     bits = _engine.set_bits((4 * n_act + 2, n_words), cells)
@@ -290,38 +293,26 @@ def reach(
         limits = SearchLimits()
 
     if use_slicing:
-        sliced, ca_map, cr_map = _slice_with_maps(policy, query)
+        roles, ca_map, cr_map = _cone(policy, query)
     else:
-        sliced, ca_map, cr_map = (
-            policy,
-            list(range(len(policy.ca))),
-            list(range(len(policy.cr))),
-        )
+        roles, ca_map, cr_map = policy.roles, range(len(policy.ca)), range(len(policy.cr))
 
     result = _engine.search(
-        _compile_masks(sliced, query), limits.max_states, limits.max_depth
+        _compile_masks(policy, query, roles, ca_map, cr_map),
+        limits.max_states,
+        limits.max_depth,
     )
 
     if result.found:
         steps = []
-        n_ca = len(sliced.ca)
+        n_ca = len(ca_map)
         for action_id in result.action_ids or []:
             if action_id < n_ca:
-                steps.append(
-                    ActionStep(
-                        ActionKind.ASSIGN,
-                        ca_map[action_id],
-                        sliced.ca[action_id].target,
-                    )
-                )
+                i = ca_map[action_id]
+                steps.append(ActionStep(ActionKind.ASSIGN, i, policy.ca[i].target))
             else:
-                steps.append(
-                    ActionStep(
-                        ActionKind.REVOKE,
-                        cr_map[action_id - n_ca],
-                        sliced.cr[action_id - n_ca].target,
-                    )
-                )
+                i = cr_map[action_id - n_ca]
+                steps.append(ActionStep(ActionKind.REVOKE, i, policy.cr[i].target))
         outcome = Outcome.REACHABLE
         witness = Witness(tuple(steps))
     elif result.truncated:
@@ -336,7 +327,7 @@ def reach(
         witness=witness,
         states_explored=result.popped,
         exhausted=outcome is Outcome.UNREACHABLE,
-        sliced_role_count=len(sliced.roles),
+        sliced_role_count=len(roles),
     )
 
 

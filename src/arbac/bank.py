@@ -179,12 +179,13 @@ def _branch_assign_rules(branch: BranchRoleSet) -> list[CanAssignRule]:
         )
         for target in div.managerial:
             rules.append(CanAssignRule(ADMIN_ROLE, managerial_pre, target))
-        compiled = compile_sop(
-            SopConstraint(div.non_managerial, SOP_LIMIT),
-            guard=frozenset({div.role}),
-            admin=ADMIN_ROLE,
+        rules.extend(
+            compile_sop(
+                SopConstraint(div.non_managerial, SOP_LIMIT),
+                guard=frozenset({div.role}),
+                admin=ADMIN_ROLE,
+            )
         )
-        rules.extend(compiled.rules)
     return rules
 
 

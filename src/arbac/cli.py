@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bank import BankConfig, HierarchyMode, Instrumentation, generate_bank
@@ -31,18 +30,9 @@ from .textio import ParseError, format_ca_rule, parse_policy, serialize_policy
 if TYPE_CHECKING:  # analyzer pulls in numpy; imported lazily in cmd_check
     from .analyzer import Verdict
 
-__all__ = ["CheckReport", "main"]
+__all__ = ["main"]
 
 MAX_STATES_ENV = "ARBAC_MAX_STATES"
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Result of one checked query, as surfaced by `check`."""
-
-    verdict: "Verdict"
-    query: SafetyQuery
-    wall_time_ms: int
 
 
 def _err(message: str) -> None:
@@ -128,16 +118,12 @@ def _witness_json(verdict: "Verdict") -> list[dict] | None:
     ]
 
 
-def _report_human(report: CheckReport) -> None:
-    v = report.verdict
+def _report_human(v: "Verdict", query: SafetyQuery, wall_time_ms: int) -> None:
     detail = (
         f"{v.states_explored} states explored, "
-        f"{v.sliced_role_count} roles after slicing, {report.wall_time_ms} ms"
+        f"{v.sliced_role_count} roles after slicing, {wall_time_ms} ms"
     )
-    _err(
-        f"query {report.query.user}:{report.query.target} -> "
-        f"{v.outcome.value} ({detail})"
-    )
+    _err(f"query {query.user}:{query.target} -> {v.outcome.value} ({detail})")
     if v.witness is not None:
         for n, step in enumerate(v.witness.steps, 1):
             section = "CA" if step.kind.value == "assign" else "CR"
@@ -186,7 +172,7 @@ def cmd_check(args) -> int:
         _err(f"error: {exc}")
         return 1
 
-    reports: list[CheckReport] = []
+    outcomes: list[str] = []
     for query in queries:
         start = time.perf_counter()
         try:
@@ -200,12 +186,7 @@ def cmd_check(args) -> int:
             _err(f"error: {exc}")
             return 1
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-        report = CheckReport(
-            verdict=verdict,
-            query=query,
-            wall_time_ms=elapsed_ms,
-        )
-        reports.append(report)
+        outcomes.append(verdict.outcome.value)
         if args.json:
             print(
                 json.dumps(
@@ -220,9 +201,8 @@ def cmd_check(args) -> int:
                 )
             )
         else:
-            _report_human(report)
+            _report_human(verdict, query, elapsed_ms)
 
-    outcomes = [r.verdict.outcome.value for r in reports]
     if "reachable" in outcomes:
         return 2
     if "unknown" in outcomes:
@@ -235,8 +215,7 @@ def cmd_compile_sop(args) -> int:
     guard = frozenset(r.strip() for r in args.guard.split(",") if r.strip())
     try:
         constraint = SopConstraint(roles, args.limit)
-        compiled = compile_sop(constraint, guard=guard, admin=args.admin)
-        rules = list(compiled.rules)
+        rules = list(compile_sop(constraint, guard=guard, admin=args.admin))
         if args.monitor:
             rules.extend(
                 compile_sop_monitor(constraint, monitor=args.monitor, admin=args.admin)

@@ -17,7 +17,7 @@ cross-object invariants; a ``Policy`` can represent an ill-formed input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -99,31 +99,60 @@ class RoleHierarchy:
     """
 
     edges: tuple[tuple[str, str], ...] = ()
-    _children: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple((s, j) for s, j in self.edges))
-        children: dict[str, list[str]] = {}
-        for senior, junior in self.edges:
-            children.setdefault(senior, []).append(junior)
-        object.__setattr__(self, "_children", children)
 
     def is_empty(self) -> bool:
         return not self.edges
 
+    @cached_property
+    def closures(self) -> dict[str, frozenset[str]]:
+        """The downward closure of every senior role (every role with a
+        junior), itself included; a role with no junior grants only
+        itself. Computed once per hierarchy, as every field is immutable.
+
+        Depth first, so that a role is closed from its juniors' closures;
+        a junior still open is on a cycle (a hierarchy exists before it
+        is validated), and the role's closure then walks on through it.
+        """
+        juniors_of: dict[str, list[str]] = {}
+        for senior, junior in self.edges:
+            juniors_of.setdefault(senior, []).append(junior)
+        closures: dict[str, frozenset[str]] = {}
+        opened: set[str] = set()
+        stack = list(juniors_of)
+        while stack:
+            role = stack[-1]
+            if role in closures:
+                stack.pop()
+                continue
+            opened.add(role)
+            todo = [j for j in juniors_of[role] if j in juniors_of and j not in opened]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            seen = {role}
+            walk = [role]
+            while walk:
+                for junior in juniors_of.get(walk.pop(), ()):
+                    if junior in seen:
+                        continue
+                    if junior in closures:
+                        seen |= closures[junior]
+                    else:
+                        seen.add(junior)
+                        walk.append(junior)
+            closures[role] = frozenset(seen)
+        return closures
+
     def downward_closure(self, roles: Iterable[str]) -> frozenset[str]:
         """All roles granted by holding ``roles``: the roles themselves
         plus every role reachable through senior-to-junior edges."""
-        seen = set(roles)
-        stack = list(seen)
-        while stack:
-            for junior in self._children.get(stack.pop(), ()):
-                if junior not in seen:
-                    seen.add(junior)
-                    stack.append(junior)
-        return frozenset(seen)
+        roles = frozenset(roles)
+        closures = self.closures
+        return roles.union(*(closures[r] for r in roles if r in closures))
 
 
 EMPTY_HIERARCHY = RoleHierarchy()
@@ -246,11 +275,11 @@ class _SliceIndex(NamedTuple):
     """Lookups that relevance slicing reads; shared, so never mutated.
 
     ``ca_by_target`` maps a role to the can_assign rules targeting it,
-    ascending. ``seniors_of`` maps a role to every role whose downward
-    closure contains it, itself included; it is empty without a
-    hierarchy. ``cr_under`` maps a role to the can_revoke rules whose
-    target's downward closure contains it, ascending: the revokes that
-    can clear it.
+    ascending. ``seniors_of`` maps a role to every senior role (one with
+    a junior) whose downward closure contains it; a role in no closure,
+    as every role of a flat policy, is absent. ``cr_under`` maps a role
+    to the can_revoke rules whose target's downward closure contains it,
+    ascending: the revokes that can clear it.
     """
 
     ca_by_target: dict[str, list[int]]
@@ -262,17 +291,12 @@ def _index_for_slicing(policy: Policy) -> _SliceIndex:
     index = _SliceIndex({}, {}, {})
     for i, rule in enumerate(policy.ca):
         index.ca_by_target.setdefault(rule.target, []).append(i)
-    closure: dict[str, frozenset[str]] = {}
-    if not policy.hierarchy.is_empty():
-        # one closure per role serves both the seniors and the revokes
-        closure = {
-            role: policy.hierarchy.downward_closure((role,)) for role in policy.roles
-        }
-        for senior, juniors in closure.items():
-            for junior in juniors:
-                index.seniors_of.setdefault(junior, []).append(senior)
+    closures = policy.hierarchy.closures
+    for senior, juniors in closures.items():
+        for junior in juniors:
+            index.seniors_of.setdefault(junior, []).append(senior)
     for i, rule in enumerate(policy.cr):
-        for role in closure.get(rule.target, (rule.target,)):
+        for role in closures.get(rule.target, (rule.target,)):
             index.cr_under.setdefault(role, []).append(i)
     return index
 
@@ -373,25 +397,6 @@ def _check_name(kind: str, name: str, location: str) -> Iterator[Diagnostic]:
         )
 
 
-def _find_cycle_roles(hierarchy: RoleHierarchy) -> list[str]:
-    """Roles on at least one hierarchy cycle, found by stripping nodes
-    with no remaining incoming edge (Kahn's algorithm residue)."""
-    indeg: dict[str, int] = {}
-    out: dict[str, list[str]] = {}
-    for s, j in hierarchy.edges:
-        indeg.setdefault(s, 0)
-        indeg[j] = indeg.get(j, 0) + 1
-        out.setdefault(s, []).append(j)
-    ready = [n for n, d in indeg.items() if d == 0]
-    while ready:
-        n = ready.pop()
-        for j in out.get(n, ()):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return sorted(n for n, d in indeg.items() if d > 0)
-
-
 def validate(policy: Policy) -> list[Diagnostic]:
     """Check structural well-formedness, returning every problem found.
 
@@ -489,7 +494,9 @@ def _diagnose(policy: Policy) -> list[Diagnostic]:
         if (s, j) in seen_edges:
             diags.append(Diagnostic(Severity.INFO, loc, f"duplicate edge <{s}, {j}>"))
         seen_edges.add((s, j))
-    cycle = _find_cycle_roles(policy.hierarchy)
+    # a senior is on a cycle exactly when one of its juniors grants it back
+    closures = policy.hierarchy.closures
+    cycle = sorted({s for s, j in policy.hierarchy.edges if s in closures.get(j, ())})
     if cycle:
         diags.append(
             Diagnostic(

@@ -28,7 +28,6 @@ __all__ = [
     "InvalidAdmin",
     "MonitorInSet",
     "SopConstraint",
-    "SopCompilation",
     "compile_sop",
     "compile_sop_monitor",
 ]
@@ -70,16 +69,6 @@ class SopConstraint:
             )
 
 
-@dataclass(frozen=True)
-class SopCompilation:
-    """Result of compiling one constraint: the emitted rule family plus
-    the guard and admin they were built with."""
-
-    rules: tuple[CanAssignRule, ...]
-    guard: frozenset[str]
-    admin: str
-
-
 def _check_disjoint(constraint: SopConstraint, guard: frozenset[str], admin: str) -> None:
     members = set(constraint.roles)
     bad_guard = members & guard
@@ -95,7 +84,7 @@ def compile_sop(
     constraint: SopConstraint,
     guard: frozenset[str] = frozenset(),
     admin: str = "Admin",
-) -> SopCompilation:
+) -> tuple[CanAssignRule, ...]:
     """Emit the preventive rule family for ``constraint``.
 
     For each target r in S (in constraint order) and each subset P of
@@ -118,7 +107,7 @@ def compile_sop(
                     negative=frozenset(others) - frozenset(allowed),
                 )
                 rules.append(CanAssignRule(admin, pre, target))
-    return SopCompilation(tuple(rules), frozenset(guard), admin)
+    return tuple(rules)
 
 
 def compile_sop_monitor(

@@ -2,8 +2,9 @@
 micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
 match exactly, a per-query slice derivation that the indexed slicing
-must match exactly, and a char-by-char parser that the regex scanner
-must match exactly."""
+must match exactly, a per-role closure walk that the hierarchy's
+closure table must match exactly, and a char-by-char parser that the
+regex scanner must match exactly."""
 
 from __future__ import annotations
 
@@ -124,7 +125,7 @@ def single_division_policy(mutated: bool = False) -> Policy:
         CanAssignRule("Admin", Precondition(), "Employee"),
         CanAssignRule("Admin", Precondition(frozenset({"Employee"})), "FA"),
     ]
-    ca.extend(compile_sop(constraint, guard=frozenset({"FA"}), admin="Admin").rules)
+    ca.extend(compile_sop(constraint, guard=frozenset({"FA"}), admin="Admin"))
     ca.extend(compile_sop_monitor(constraint, monitor="AnyFour", admin="Admin"))
     if mutated:
         ca = [drop_junior_prohibition(rule, "") for rule in ca]
@@ -196,7 +197,8 @@ def _python_masks(policy: Policy, query: SafetyQuery):
     actions += [(False, 0, 0, mask((rule.target,))) for rule in policy.cr]
     closure = None
     if not policy.hierarchy.is_empty():
-        closure = [mask(policy.hierarchy.downward_closure({r})) for r in policy.roles]
+        closures = reference_closures(policy.hierarchy)
+        closure = [mask(closures.get(r, (r,))) for r in policy.roles]
     return actions, closure, mask(policy.initial_roles(query.user)), index[query.target]
 
 
@@ -314,18 +316,41 @@ def widen(policy: Policy, query: SafetyQuery, extra: int) -> tuple[Policy, Safet
     )
 
 
+def reference_closures(hierarchy: RoleHierarchy) -> dict[str, frozenset[str]]:
+    """Every role of an edge mapped to itself and every role reachable
+    from it through senior-to-junior edges, by one plain walk per role:
+    the reference for ``RoleHierarchy.closures``, which must not serve
+    as its own check."""
+    juniors_of: dict[str, list[str]] = defaultdict(list)
+    for senior, junior in hierarchy.edges:
+        juniors_of[senior].append(junior)
+    closures = {}
+    for role in {r for edge in hierarchy.edges for r in edge}:
+        seen = {role}
+        stack = [role]
+        while stack:
+            for junior in juniors_of[stack.pop()]:
+                if junior not in seen:
+                    seen.add(junior)
+                    stack.append(junior)
+        closures[role] = frozenset(seen)
+    return closures
+
+
 def reference_slice(
     policy: Policy, query: SafetyQuery
 ) -> tuple[Policy, list[int], list[int]]:
-    """``_slice_with_maps(policy, query)`` derived from scratch for the
-    one query, scanning every rule: the reference the per-policy
-    index must equal on the sliced policy and both rule maps."""
+    """``slice_policy(policy, query)`` and the cone's rule maps derived
+    from scratch for the one query, scanning every rule: the reference
+    the per-policy index must equal on the sliced policy and both rule
+    maps."""
     hierarchy = policy.hierarchy
+    closures = reference_closures(hierarchy)
     seniors_of: dict[str, set[str]] | None = None
     if not hierarchy.is_empty():
         seniors_of = defaultdict(set)
         for role in policy.roles:
-            for junior in hierarchy.downward_closure({role}):
+            for junior in closures.get(role, (role,)):
                 seniors_of[junior].add(role)
     rules_by_target: dict[str, list[CanAssignRule]] = defaultdict(list)
     for rule in policy.ca:
@@ -355,7 +380,7 @@ def reference_slice(
         cr_map = [
             i
             for i, rule in enumerate(policy.cr)
-            if hierarchy.downward_closure({rule.target}) & negatives
+            if closures.get(rule.target, {rule.target}) & negatives
         ]
     kept_cr = tuple(policy.cr[i] for i in cr_map)
 

@@ -85,7 +85,7 @@ def test_c2_clerk_family(announce):
         compiled = compile_sop(
             SopConstraint(constrained, 3), guard=frozenset({"FA"})
         )
-        clerk_rules = {r for r in compiled.rules if r.target == "FA-Clerk"}
+        clerk_rules = {r for r in compiled if r.target == "FA-Clerk"}
 
         def rule(pos, neg):
             return CanAssignRule(
@@ -118,7 +118,7 @@ def test_c3_count_law(announce):
                 for target in roles:
                     others = [r for r in roles if r != target]
                     per_target = sum(
-                        1 for r in compiled.rules if r.target == target
+                        1 for r in compiled if r.target == target
                     )
                     by_enumeration = sum(
                         1

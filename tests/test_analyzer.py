@@ -22,7 +22,7 @@ from arbac import (
     slice_policy,
 )
 from arbac import _engine
-from arbac.analyzer import _closure_masks, _compile_masks, _slice_with_maps
+from arbac.analyzer import _compile_masks, _cone
 from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
@@ -40,6 +40,7 @@ from helpers import (
     fifo_reach,
     mutate_bank,
     random_policy,
+    reference_closures,
     reference_slice,
     single_division_policy,
     widen,
@@ -177,23 +178,31 @@ class TestHierarchy:
         )
         assert replay(policy, query, verdict.witness)
 
-    def test_closure_masks_equal_downward_closures(self):
+    def test_closures_equal_the_reference_walk(self):
         hierarchies = [p.hierarchy for p, _ in map(random_policy, range(500))]
         hierarchies.append(generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical")).hierarchy)
-        # a diamond, and a chain deeper than the recursion limit, listed
-        # junior end first
+        # a diamond, a chain deeper than the recursion limit listed junior
+        # end first, an A-B cycle with a tail on each side, and a self-loop
         hierarchies.append(RoleHierarchy((("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))))
         chain = [f"r{i}" for i in range(1200)]
         hierarchies.append(RoleHierarchy(tuple(zip(chain[-2::-1], chain[:0:-1]))))
+        hierarchies.append(RoleHierarchy((("A", "B"), ("B", "A"), ("B", "C"), ("D", "A"))))
+        hierarchies.append(RoleHierarchy((("A", "A"), ("A", "B"))))
         tested = 0
         for hierarchy in hierarchies:
-            roles = sorted({r for edge in hierarchy.edges for r in edge})
-            index = {role: i for i, role in enumerate(roles)}
-            masks = _closure_masks(hierarchy, index)
-            for senior in {s for s, _ in hierarchy.edges}:
-                expected = hierarchy.downward_closure((senior,))
-                assert {r for r in roles if masks[senior] >> index[r] & 1} == expected
-                tested += 1
+            expected = reference_closures(hierarchy)
+            expected["outside"] = frozenset({"outside"})
+            roles = sorted(expected)
+            assert hierarchy.closures == {
+                s: expected[s] for s, _ in hierarchy.edges
+            }
+            for role in roles:
+                assert hierarchy.downward_closure((role,)) == expected[role]
+            assert hierarchy.downward_closure(roles[::2]) == frozenset().union(
+                *(expected[r] for r in roles[::2])
+            )
+            assert hierarchy.downward_closure(()) == frozenset()
+            tested += len(hierarchy.closures)
         assert tested > 1200
 
 
@@ -271,10 +280,35 @@ class TestSlicing:
         for policy, user in instances:
             for role in policy.roles:
                 query = SafetyQuery(user, role)
-                sliced, ca_map, cr_map = _slice_with_maps(policy, query)
+                roles, ca_map, cr_map = _cone(policy, query)
                 expected, ca_ref, cr_ref = reference_slice(policy, query)
                 assert (ca_map, cr_map) == (ca_ref, cr_ref), query
-                assert sliced == expected, query
+                assert tuple(roles) == expected.roles, query
+                assert slice_policy(policy, query) == expected, query
+
+    def test_cone_compiled_reach_equals_reach_on_the_slice(self):
+        """reach compiles the cone with the policy's closure rows, not the
+        sliced hierarchy's; the rows differ where a path runs through a
+        dropped role, yet the search must be the same, target by target."""
+        queries = 0
+        rows_differ = []
+        for seed in range(500):
+            policy, query = random_policy(seed)
+            for role in policy.roles:
+                query = SafetyQuery(query.user, role)
+                sliced = slice_policy(policy, query)
+                cone = _compile_masks(policy, query, *_cone(policy, query))
+                if not np.array_equal(cone.closure, _compile_masks(sliced, query, *whole(sliced)).closure):
+                    rows_differ.append((seed, role))
+                actual = reach(policy, query)
+                expected = reach(sliced, query, use_slicing=False)
+                assert actual.outcome is expected.outcome, (seed, role)
+                assert actual.states_explored == expected.states_explored, (seed, role)
+                assert actual.sliced_role_count == expected.sliced_role_count, (seed, role)
+                assert named_rules(policy, actual) == named_rules(sliced, expected), (seed, role)
+                queries += 1
+        assert queries > 2400
+        assert rows_differ == [(158, "boss"), (348, "r2"), (348, "dev_ops")]
 
     def test_index_is_reused_across_queries(self):
         bank = generate_bank(BankConfig(
@@ -287,6 +321,7 @@ class TestSlicing:
         fields_hash = hash(bank)
         batch = [reach(bank, query, limits) for query in queries]
         assert {"_slice_index", "role_set", "user_set"} <= vars(bank).keys()
+        assert "closures" in vars(bank.hierarchy)
         assert {v.outcome for v in batch} == set(Outcome)
         for query, verdict in zip(queries, batch):
             fresh = dataclasses.replace(bank)
@@ -367,6 +402,12 @@ def assert_matches_reference(policy, query, limits_list=LIMITS):
     for limits in limits_list:
         actual = reach(policy, query, limits, use_slicing=False)
         assert actual == fifo_reach(policy, query, limits), limits
+
+
+def whole(policy):
+    """The cone arguments of ``_compile_masks`` that keep every role and
+    rule, as ``reach(..., use_slicing=False)`` passes them."""
+    return policy.roles, range(len(policy.ca)), range(len(policy.cr))
 
 
 def named_rules(policy, verdict):
@@ -489,8 +530,8 @@ class TestEngine:
         instances += [widen(*random_policy(seed), extra=130) for seed in range(0, 500, 25)]
         tested = hierarchical = 0
         for policy, query in instances:
-            for sliced in (policy, slice_policy(policy, query)):
-                program = _compile_masks(sliced, query)
+            for cone in (whole(policy), _cone(policy, query)):
+                program = _compile_masks(policy, query, *cone)
                 if not len(program.flip):
                     continue
                 tested += 1

@@ -242,6 +242,18 @@ class TestValidate:
         assert len(cycles) == 1
         assert "A" in cycles[0].message and "B" in cycles[0].message
 
+    def test_cycle_names_only_roles_on_it(self):
+        # C lies below the A-B cycle and D above it; neither is on it
+        policy = Policy(
+            roles=("A", "B", "C", "D"),
+            hierarchy=RoleHierarchy((("A", "B"), ("B", "A"), ("B", "C"), ("D", "A"))),
+        )
+        cycles = [d.message for d in errors_of(policy) if "cycle" in d.message]
+        assert cycles == ["hierarchy contains a cycle involving: A, B"]
+        loop = Policy(roles=("A", "B"), hierarchy=RoleHierarchy((("A", "A"), ("A", "B"))))
+        cycles = [d.message for d in errors_of(loop) if "cycle" in d.message]
+        assert cycles == ["hierarchy contains a cycle involving: A"]
+
     def test_acyclic_hierarchy_ok(self):
         policy = Policy(
             roles=("A", "B", "C"),
