@@ -207,16 +207,9 @@ def _compile_masks(
     """The search program of ``query`` on ``policy`` restricted to
     ``roles`` and the rules of ``ca_map`` and ``cr_map``, built from role
     indices: one bit per kept role, one action per kept can_assign rule
-    (in the maps' order) then per kept can_revoke rule.
-
-    Closure rows are the hierarchy's closures restricted to the kept
-    roles. On a cone they can differ from the rows of ``slice_policy``'s
-    hierarchy, which keeps only edges between kept roles, in one case: a
-    path from a kept senior through a dropped role to a kept junior k.
-    Then k is not relevant, since a relevant role's seniors are relevant
-    and the dropped role would have been kept; so no kept rule tests k
-    and the goal does not hold it, and the enabled actions and the goal
-    test are identical.
+    (in the maps' order) then per kept can_revoke rule. Closure rows are
+    the hierarchy's closures restricted to the kept roles (see the module
+    docstring for why that is sound on a cone).
     """
     index = {role: i for i, role in enumerate(roles)}
     n_ca = len(ca_map)
@@ -226,7 +219,7 @@ def _compile_masks(
 
     # one bit row per action in each of four planes (positive literals,
     # negative literals, can_assign target, can_revoke target), then the
-    # initial state and the goal
+    # initial state, the goal and the closure of each senior
     row = [a * width for a in range(n_act)]
     plane = n_act * width
     ca = [(a, policy.ca[i]) for a, i in enumerate(ca_map)]
@@ -242,18 +235,16 @@ def _compile_masks(
     closures = policy.hierarchy.closures
     seniors, below = [], []
     for s, role in enumerate(roles):
-        mask = 0
-        for junior in closures.get(role, ()):
-            if junior in index:
-                mask |= 1 << index[junior]
-        if mask & ~(1 << s):
+        juniors = [index[j] for j in closures.get(role, ()) if j in index]
+        if any(j != s for j in juniors):
             seniors.append(s)
-            below.append(mask)
-    granted_by = [s for s, mask in zip(seniors, below) if s != target and mask >> target & 1]
+            below.append(juniors)
+    granted_by = [s for s, js in zip(seniors, below) if s != target and target in js]
     cells += [4 * plane + width + r for r in (target, *granted_by)]
-    bits = _engine.set_bits((4 * n_act + 2, n_words), cells)
-    pos, neg, assigned, revoked = bits[:-2].reshape(4, n_act, n_words)
-    init, goal = bits[-2:]
+    cells += [4 * plane + (2 + k) * width + j for k, js in enumerate(below) for j in js]
+    bits = _engine.set_bits((4 * n_act + 2 + len(seniors), n_words), cells)
+    pos, neg, assigned, revoked = bits[: 4 * n_act].reshape(4, n_act, n_words)
+    init, goal, closure = bits[4 * n_act], bits[4 * n_act + 1], bits[4 * n_act + 2 :]
     flip = assigned | revoked
     if not seniors:
         test, need = pos | neg | flip, pos | revoked
@@ -262,10 +253,6 @@ def _compile_masks(
     # precondition
     test = np.concatenate((flip.T, (pos | neg).T))
     need = np.concatenate((revoked.T, pos.T))
-    # mask bit p is bit p % 64 of word p // 64, as in set_bits
-    closure = np.frombuffer(
-        b"".join(mask.to_bytes(8 * n_words, "little") for mask in below), "<u8"
-    ).reshape(-1, n_words).astype(np.uint64)
     seniors = np.array(seniors)
     held_bit = (seniors >> 6, (seniors & 63).astype(np.uint64))
     return _engine.Program(init, test, need, flip, goal, held_bit, closure)

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bank import BankConfig, HierarchyMode, Instrumentation, generate_bank
@@ -47,12 +48,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read_policy_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     # one char per byte, so parse_policy reports where a non-ASCII byte is,
-    # and no newline translation, so a lone \r stays a blank as on stdin
-    with open(path, "r", encoding="latin-1", newline="") as fh:
-        return fh.read()
+    # and no newline translation, so a lone \r stays a blank
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("latin-1")
 
 
 def _load_policy(path: str) -> Policy | None:
@@ -60,9 +59,6 @@ def _load_policy(path: str) -> Policy | None:
         text = _read_policy_text(path)
     except OSError as exc:
         _err(f"error: cannot read {path}: {exc}")
-        return None
-    except UnicodeDecodeError:
-        _err(f"error: {path} is not 7-bit ASCII text")
         return None
     try:
         return parse_policy(text)

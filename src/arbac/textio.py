@@ -21,11 +21,13 @@ over tokens:
 ``//`` starts a comment that runs to end of line. Sections may repeat;
 their contents concatenate in order. Input must be 7-bit ASCII.
 
-The scanner is two compiled patterns. ``_LEXICON`` must match the whole
-text, a block of lines at a time, as blanks, comments and tokens; where
-it stops is an unexpected character, reported ahead of any syntax error.
-``_TOKENS.findall`` then lists the token texts for the parser. Positions
-are found only for an error, by scanning the text again to its token.
+The scanner is one compiled pattern, run once with ``findall``: it lists
+the token texts in order, a comment as an empty text, and each character
+that starts no token as a one-character "stray". Blanks match nothing.
+Before parsing, the distinct texts are checked for a stray; if there is
+one, the first in the text is an unexpected character, reported ahead of
+any syntax error. Positions are found only for an error, by scanning the
+text again to its token or stray.
 
 ``serialize_policy`` emits the canonical form: fixed section order
 (Roles, Users, UA, CR, CA, RH, ADMIN, then one SPEC section per query),
@@ -71,18 +73,10 @@ _PUNCTUATION = "<>,;&-"
 
 _TOKEN = ROLE_NAME_RE.pattern.removesuffix(r"\Z") + f"|[{_PUNCTUATION}]"
 
-# Blanks, comments and tokens, as often as they come: the match ends at
-# the first character that starts none of them.
-_LEXICON = re.compile(rf"(?:[ \t\r\n]+|//[^\n]*|{_TOKEN})*")
-
-# Every token in order. A comment matches too, as an empty group, so that
-# no token is looked for inside it.
-_TOKENS = re.compile(rf"//[^\n]*|({_TOKEN})")
-
-# Characters per _LEXICON match, extended to the next newline. The matcher
-# keeps a frame per repetition, about 40 bytes per character of input: one
-# match over the whole 382 KiB bank-18 text held 15 MiB.
-_LEX_BLOCK = 1 << 14
+# Every token in order, and every other character but a blank as a stray.
+# A comment matches too, as an empty group, so that no token is looked for
+# inside it.
+_SCANNER = re.compile(rf"//[^\n]*|({_TOKEN}|[^ \t\r\n])")
 
 
 @dataclass(frozen=True)
@@ -107,18 +101,10 @@ class ParseError(ArbacError):
         super().__init__(f"{span.line}:{span.column}: {message}{suffix}")
 
 
-def _lexed_to(text: str) -> int:
-    """Offset where ``_LEXICON`` stops matching ``text``, a block of lines
-    at a time. No comment or token spans a newline, so a block that starts
-    after one lexes as it does within the whole text."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _LEX_BLOCK) + 1 or len(text)
-        end = _LEXICON.match(text, start, stop).end()
-        if end < stop:
-            return end
-        start = stop
-    return len(text)
+def _is_stray(scanned: str | None) -> bool:
+    """Whether what ``_SCANNER`` captured is a character that starts no
+    token: neither a comment (None or ""), punctuation nor an identifier."""
+    return bool(scanned) and scanned not in _PUNCTUATION and not ROLE_NAME_RE.match(scanned)
 
 
 def _span_at(text: str, offset: int, length: int) -> SourceSpan:
@@ -140,7 +126,7 @@ class _Parser:
         """Where token k is, found by scanning the text again."""
         if k == len(self.tokens) - 1:
             return _span_at(self.text, len(self.text), 0)
-        found = (m for m in _TOKENS.finditer(self.text) if m.group(1))
+        found = (m for m in _SCANNER.finditer(self.text) if m.group(1))
         match = next(itertools.islice(found, k, None))
         return _span_at(self.text, match.start(), len(match.group(1)))
 
@@ -278,12 +264,11 @@ def parse_policy(text: str) -> Policy:
     if not text.isascii():
         offset = re.search(r"[^\x00-\x7f]", text).start()
         raise ParseError(_span_at(text, offset, 1), "input is not 7-bit ASCII")
-    end = _lexed_to(text)
-    if end < len(text):
-        raise ParseError(
-            _span_at(text, end, 1), f"unexpected character {text[end]!r}"
-        )
-    tokens = [tok for tok in _TOKENS.findall(text) if tok]
+    tokens = _SCANNER.findall(text)
+    if any(_is_stray(tok) for tok in set(tokens)):
+        at = next(m.start() for m in _SCANNER.finditer(text) if _is_stray(m.group(1)))
+        raise ParseError(_span_at(text, at, 1), f"unexpected character {text[at]!r}")
+    tokens = [tok for tok in tokens if tok]
     tokens.append("")
     return _Parser(text, tokens).policy()
 

@@ -201,13 +201,13 @@ class TestCheck:
         assert main(["check", path, "--max-states", "2"]) == 3
 
     def test_reads_policy_from_stdin(self, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(CHAIN_TEXT))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(CHAIN_TEXT.encode())))
         assert main(["check", "-", "--json"]) == 2
 
     def test_generate_then_check_composes(self, capsys, monkeypatch):
         assert main(["generate", "--branches", "1"]) == 0
         text = capsys.readouterr()[0]
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert main(["check", "-", "--query", "newUser:Employee@1"]) == 2
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
@@ -222,6 +222,17 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         err = capsys.readouterr()[1]
         assert f"{path}: 2:7: input is not 7-bit ASCII" in err
+
+    def test_non_ascii_stdin_error_has_a_location(self):
+        # stdin is read as bytes, whatever the interpreter's encoding
+        proc = subprocess.run(
+            [sys.executable, "-m", "arbac", "check", "-"],
+            input=b"Roles A ;\nUsers u\xe9 ;\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert proc.returncode == 1
+        assert b"-: 2:8: input is not 7-bit ASCII" in proc.stderr
 
     def test_lone_carriage_return_is_located_as_on_stdin(self, tmp_path, capsys):
         # parse_policy takes a lone \r as a blank, not a line break
