@@ -43,13 +43,23 @@ the queue, and ``max_depth`` only its level. A chunk that yields an
 unvisited goal state ends the level early: every state queued before
 that goal state comes from this chunk or an earlier one.
 
-A state's sort key is its one word, or for wider states its raw bytes.
-Packed-key lemma: when single-word states lie below ``2 ** h`` and a
-list of them is shorter than ``2 ** s`` with ``h + s <= 64``, the words
-``(state << s) | position`` sort by state, then by position, so in one
-sort of them the first word of each run of equal states holds that
-state's first occurrence. Otherwise the keys are argsorted and each run
-keeps its least position.
+A state's sort key is its one word, or for wider states its words
+stored big-endian and compared as raw bytes, whose ``memcmp`` order is
+the words' lexicographic order (word 0 first). Below the level that
+builds the table, keys are argsorted and each run of equal keys keeps
+its least position.
+
+Rank-fold lemma: from that level on, word ``w`` of every state lies
+below ``2 ** highs[w]`` (a state holds only initial and flipped bits).
+``(key << h) | word`` orders as the pair (key, word) when the word lies
+below ``2 ** h``, and a dense rank (the count of distinct smaller
+values, below ``2 ** s`` in a list shorter than that) orders as the
+value it replaces. Folding the words in, word 0 first, and ranking the
+key or the word where they would not fit beside ``s`` position bits
+therefore gives uint64 keys in the states' order, and the words
+``(key << s) | position`` sort by state, then by position: in one sort
+of them, the first word of each run of equal states holds that state's
+first occurrence.
 """
 
 from __future__ import annotations
@@ -139,24 +149,62 @@ def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> 
     return ok.view(np.bool_)
 
 
-def _distinct(keys: np.ndarray, high: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each distinct key's first occurrence, and the
-    distinct keys in sorted order. A given ``high`` bounds uint64 keys
-    below ``2 ** high``, so that they may be packed with positions."""
-    if not len(keys):
-        return np.zeros(0, np.intp), keys
-    shift = (len(keys) - 1).bit_length()
-    if high is None or high + shift > 64:
+def _keys(states: np.ndarray, key) -> np.ndarray:
+    """The sort keys of (n, W) ``states``: the one word, or wider the
+    big-endian words viewed as one raw-byte ``key``."""
+    if key is np.uint64:
+        return states.ravel()
+    return states.astype(">u8").view(key).ravel()
+
+
+def _rank(column: np.ndarray, out: np.ndarray) -> int:
+    """Write the dense rank of each value of the uint64 ``column`` to
+    ``out``, which may be ``column``; return the top rank's bit length."""
+    order = column.argsort()
+    ordered = column[order]
+    starts = ordered[1:] != ordered[:-1]
+    ordered[:1] = 0
+    np.cumsum(starts, dtype=np.uint64, out=ordered[1:])
+    out[order] = ordered
+    return int(ordered[-1]).bit_length()
+
+
+def _distinct(states: np.ndarray, highs: list[int] | None, key) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each distinct row of ``states`` at its first
+    occurrence, and the distinct rows' keys in sorted order. Given
+    ``highs``, word ``w`` of every row lies below ``2 ** highs[w]`` and
+    the rows fold into packed keys (see the rank-fold lemma)."""
+    n = len(states)
+    if not n:
+        return np.zeros(0, np.intp), _keys(states, key)
+    if highs is None:
+        keys = _keys(states, key)
         order = keys.argsort()
         ordered = keys[order]
         starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
         return np.minimum.reduceat(order, starts.nonzero()[0]), ordered[starts]
-    # each key packed with its position: equal keys sort by position
-    packed = np.sort((keys << shift) | np.arange(len(keys), dtype=np.uint64))
-    ordered = packed >> shift
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    first = packed[starts] & ((1 << shift) - 1)
-    return first.astype(np.intp), ordered[starts]
+    shift = (n - 1).bit_length()
+    acc, bits = states[:, 0].copy(), highs[0]
+    for w in range(1, len(highs)):
+        word, high = states[:, w], highs[w]
+        if bits + high + shift > 64:
+            bits = _rank(acc, acc)
+        if bits + high > 64:
+            word = np.empty_like(acc)
+            high = _rank(states[:, w], word)
+        acc <<= high
+        acc |= word
+        bits += high
+    if bits + shift > 64:
+        bits = _rank(acc, acc)
+    # each folded key packed with its position: equal states sort by position
+    acc <<= shift
+    acc |= np.arange(n, dtype=np.uint64)
+    acc.sort()
+    folded = acc >> shift
+    starts = np.concatenate(([True], folded[1:] != folded[:-1]))
+    first = (acc[starts] & ((1 << shift) - 1)).astype(np.intp)
+    return first, _keys(states.take(first, axis=0), key)
 
 
 def _queued(first: np.ndarray, size: int) -> np.ndarray:
@@ -168,7 +216,7 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
 
 
 def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
-            high: int | None, table: EnableTable | None):
+            highs: list[int] | None, table: EnableTable | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
     first occurrence; their keys in sorted order; and whether one of
@@ -182,7 +230,7 @@ def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
         cells = ok.ravel().nonzero()[0]
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
-        first, keys = _distinct(children.view(key).ravel(), high)
+        first, keys = _distinct(children, highs, key)
         at = np.minimum(visited.searchsorted(keys), len(visited) - 1)
         fresh = visited[at] != keys
         queued = _queued(first[fresh], len(cells))
@@ -195,7 +243,7 @@ def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
         return (*parts[0], keys[fresh], hit)
     children, cells = (np.concatenate(p) for p in zip(*parts))
     # a child found in several chunks keeps its earliest chunk's occurrence
-    first, keys = _distinct(children.view(key).ravel(), high)
+    first, keys = _distinct(children, highs, key)
     queued = _queued(first, len(cells))
     return children[queued], cells[queued], keys, hit
 
@@ -216,12 +264,12 @@ def search(
     program: Program, max_states: int | None, max_depth: int | None
 ) -> SearchResult:
     W = len(program.init)
-    # states sort as one uint64 word, or wider as raw bytes
+    # states sort as one uint64 word, or wider as big-endian raw bytes
     key = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
     n_act = max(1, len(program.flip))
-    table = high = None  # set when a level first fills a chunk
+    table = highs = None  # set when a level first fills a chunk
     frontier = program.init[None, :]
-    visited = frontier.view(key).ravel()  # sorted
+    visited = _keys(frontier, key)  # sorted
     hit = bool((program.init & program.goal).any())
     cells_seen = [np.zeros(1, np.intp)]  # parent * A + action per queue position
     offset = 0  # queue position of frontier[0]
@@ -239,10 +287,10 @@ def search(
             return SearchResult(False, None, max_states, True)
         if table is None and n * len(program.flip) >= CELLS:
             table = _enable_table(program)
-            if W == 1:  # a state holds only initial and flipped bits
-                held = np.bitwise_or.reduce(program.flip[:, 0], initial=program.init[0])
-                high = int(held).bit_length()
-        frontier, cells, keys, hit = _expand(program, frontier, visited, key, high, table)
+            # a state holds only initial and flipped bits
+            held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
+            highs = [int(word).bit_length() for word in held]
+        frontier, cells, keys, hit = _expand(program, frontier, visited, key, highs, table)
         if depth == max_depth or not len(keys):
             return SearchResult(False, None, offset + n, bool(len(keys)))
         # a stable sort of two sorted runs is one linear merge

@@ -153,7 +153,7 @@ def cmd_check(args) -> int:
         _err("error: the policy declares no SPEC queries and no --query was given")
         return 1
 
-    max_states = args.max_states
+    max_states, source = args.max_states, "--max-states"
     if max_states is None:
         env = os.environ.get(MAX_STATES_ENV)
         if env is not None:
@@ -162,10 +162,11 @@ def cmd_check(args) -> int:
             except ValueError:
                 _err(f"error: {MAX_STATES_ENV}={env!r} is not an integer")
                 return 1
+            source = f"{MAX_STATES_ENV}={max_states}"
     try:
         limits = SearchLimits(max_states=max_states)
     except ValueError as exc:
-        _err(f"error: {exc}")
+        _err(f"error: {source}: {exc}")
         return 1
 
     outcomes: list[str] = []

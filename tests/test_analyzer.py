@@ -396,6 +396,10 @@ LIMITS = [
 ]
 
 
+# word bounds of the packed-key fold: empty, tiny, and at or near 64 bits
+BOUNDS = (0, 1, 20, 44, 63, 64)
+
+
 def assert_matches_reference(policy, query, limits_list=LIMITS):
     """reach on ``policy`` (unsliced) equals the FIFO reference on
     outcome, states explored and witness, under every limit."""
@@ -462,6 +466,13 @@ class TestEngine:
             narrow.witness,
         )
 
+    def test_three_word_states_in_small_chunks(self, monkeypatch):
+        # most levels fill a chunk of 4 cells (none fills one of 64), so
+        # three-word states fold at the table level and argsort below it
+        monkeypatch.setattr(_engine, "CELLS", 4)
+        for seed in range(0, 60, 3):
+            self.test_three_word_states(seed)
+
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_small_chunks(self, cells, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
@@ -511,16 +522,51 @@ class TestEngine:
                 assert 58 < len(wide.roles) <= 64
                 assert_matches_reference(wide, query)
 
-    @pytest.mark.parametrize("high", [1, 3, 20, 44, 61, 63, 64])
+    @pytest.mark.parametrize("high", [0, 1, 3, 20, 44, 61, 63, 64])
     def test_distinct_keeps_first_occurrences(self, high):
+        # word 0 lies below 2**high; each further word (of up to three)
+        # below a bound from BOUNDS, so every branch of the fold runs
         rng = np.random.default_rng(high)
-        for size in (0, 1, 2, 3, 4, 5, 8, 9, 100, 4097):
-            pool = rng.integers(0, 2**high, size=max(1, size // 3), dtype=np.uint64)
-            keys = rng.choice(pool, size)
-            first, distinct = _engine._distinct(keys, high)
-            expected = sorted({int(k): i for i, k in reversed(list(enumerate(keys)))}.items())
-            assert distinct.tolist() == [k for k, _ in expected]
-            assert first.tolist() == [i for _, i in expected]
+        tails = [()] + [(b,) for b in BOUNDS] + [(b, c) for b in BOUNDS for c in BOUNDS]
+        for highs in ([high, *tail] for tail in tails):
+            words = len(highs)
+            key = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+            for size in (0, 1, 2, 3, 4, 5, 8, 9, 100, 4097):
+                pool = np.stack(
+                    [rng.integers(0, 2**h, size=max(1, size // 3), dtype=np.uint64) for h in highs],
+                    axis=1,
+                )
+                states = pool[rng.integers(0, len(pool), size)]
+                first, keys = _engine._distinct(states, highs, key)
+                expected = {}
+                for i, row in enumerate(map(tuple, states.tolist())):
+                    expected.setdefault(row, i)
+                rows = sorted(expected)
+                assert first.tolist() == [expected[row] for row in rows]
+                # memcmp order of the big-endian words is the rows' order
+                raw = [b"".join(w.to_bytes(8, "big") for w in row) for row in rows]
+                assert raw == sorted(raw)
+                if words == 1:
+                    assert keys.tolist() == [row[0] for row in rows]
+                else:
+                    assert [bytes(k) for k in keys] == raw
+                # below the table level the keys are argsorted instead
+                first, unpacked = _engine._distinct(states, None, key)
+                assert first.tolist() == [expected[row] for row in rows]
+                assert (unpacked == keys).all()
+
+    @pytest.mark.parametrize("high", BOUNDS)
+    def test_rank_is_dense_and_ordered(self, high):
+        rng = np.random.default_rng(high)
+        for size in (1, 2, 3, 9, 100, 4097):
+            column = rng.integers(0, 2**high, size=size, dtype=np.uint64)
+            column = rng.choice(column, size)  # repeats
+            values, inverse = np.unique(column, return_inverse=True)
+            out = np.empty_like(column)
+            assert _engine._rank(column, out) == (len(values) - 1).bit_length()
+            assert out.tolist() == inverse.ravel().tolist()
+            assert _engine._rank(column, column) == (len(values) - 1).bit_length()
+            assert (column == out).all()
 
     def test_enable_table_matches_broadcast(self):
         """The table's enable bits equal the broadcast test exactly, on

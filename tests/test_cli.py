@@ -188,6 +188,15 @@ class TestCheck:
         assert main(["check", path, "--max-states", "0"]) == 1
         assert "positive" in capsys.readouterr()[1]
 
+    def test_nonpositive_state_cap_names_its_source(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, CHAIN_TEXT)
+        assert main(["check", path, "--max-states", "0"]) == 1
+        assert capsys.readouterr()[1].startswith("error: --max-states: ")
+        monkeypatch.setenv(MAX_STATES_ENV, "-3")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr()[1]
+        assert err.startswith(f"error: {MAX_STATES_ENV}=-3: ") and "positive" in err
+
     def test_reachable_beats_unknown_in_exit_code(self, tmp_path, capsys):
         text = UNREACHABLE_TEXT.replace("SPEC u B ;\n", "SPEC u B ;\nSPEC u A ;\n")
         path = write(tmp_path, text)
