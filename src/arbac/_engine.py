@@ -120,14 +120,19 @@ class EnableTable(NamedTuple):
 
 
 def _enable_table(program: Program) -> EnableTable:
-    n_act = program.test.shape[1]
-    test = np.ascontiguousarray(program.test.T).view(np.uint8).T  # (bytes, A)
-    need = np.ascontiguousarray(program.need.T).view(np.uint8).T
+    # actions padded to whole words: a zero test and need pass every
+    # value, and _enabled unpacks only the first A bits
+    pad = ((0, 0), (0, -program.test.shape[1] % 64))
+    test = np.ascontiguousarray(np.pad(program.test, pad).T).view(np.uint8).T  # (bytes, A)
+    need = np.ascontiguousarray(np.pad(program.need, pad).T).view(np.uint8).T
     at = np.flatnonzero(test.any(axis=1))
+    test, need = test[at], need[at]  # (P, A), rows contiguous
     value = np.arange(256, dtype=np.uint8)[:, None]
-    ok = (value & test[at, None, :]) == need[at, None, :]  # (P, 256, A)
-    ok = np.pad(ok, ((0, 0), (0, 0), (0, -n_act % 64)))
-    return EnableTable(at, np.packbits(ok, axis=2, bitorder="little").view(np.uint64))
+    rows = np.empty((len(at), 256, test.shape[1] // 64), np.uint64)
+    for p in range(len(at)):  # one (256, A) bool block at a time
+        ok = (value & test[p]) == need[p]
+        rows[p] = np.packbits(ok, axis=1, bitorder="little").view(np.uint64)
+    return EnableTable(at, rows)
 
 
 def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> np.ndarray:

@@ -3,26 +3,31 @@ micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
 match exactly, a per-query slice derivation that the indexed slicing
 must match exactly, a per-role closure walk that the hierarchy's
-closure table must match exactly, and a char-by-char parser that the
-regex scanner must match exactly."""
+closure table must match exactly, one loop per section that validation
+must match exactly, and a char-by-char parser that the regex scanner
+must match exactly."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from arbac.analyzer import Outcome, SearchLimits, Verdict, Witness
 from arbac.model import (
     RESERVED_WORDS,
+    ROLE_NAME_RE,
     ActionKind,
     ActionStep,
     CanAssignRule,
     CanRevokeRule,
+    Diagnostic,
     Policy,
     Precondition,
     RoleHierarchy,
     SafetyQuery,
+    Severity,
     validation_errors,
 )
 from arbac.sop import SopConstraint, compile_sop, compile_sop_monitor
@@ -335,6 +340,131 @@ def reference_closures(hierarchy: RoleHierarchy) -> dict[str, frozenset[str]]:
                     stack.append(junior)
         closures[role] = frozenset(seen)
     return closures
+
+
+def _check_name(kind: str, name: str, location: str) -> Iterator[Diagnostic]:
+    if not ROLE_NAME_RE.match(name):
+        yield Diagnostic(
+            Severity.ERROR, location, f"invalid {kind} name {name!r}"
+        )
+    elif name in RESERVED_WORDS:
+        yield Diagnostic(
+            Severity.ERROR, location, f"{kind} name {name!r} is a reserved word"
+        )
+
+
+def reference_diagnose(policy: Policy) -> list[Diagnostic]:
+    """Every diagnostic of ``policy`` by one hand-written loop per
+    section: the reference ``validate`` must equal, list for list."""
+    diags: list[Diagnostic] = []
+    roles = policy.role_set
+    users = policy.user_set
+
+    seen_roles: set[str] = set()
+    for i, r in enumerate(policy.roles):
+        loc = f"Roles[{i}]"
+        diags.extend(_check_name("role", r, loc))
+        if r in seen_roles:
+            diags.append(
+                Diagnostic(Severity.ERROR, loc, f"duplicate role declaration {r!r}")
+            )
+        seen_roles.add(r)
+
+    seen_users: set[str] = set()
+    for i, u in enumerate(policy.users):
+        loc = f"Users[{i}]"
+        diags.extend(_check_name("user", u, loc))
+        if u in seen_users:
+            diags.append(Diagnostic(Severity.INFO, loc, f"duplicate user declaration {u!r}"))
+        seen_users.add(u)
+
+    seen_ua: set[tuple[str, str]] = set()
+    for i, (u, r) in enumerate(policy.ua):
+        loc = f"UA[{i}]"
+        if u not in users:
+            diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared user {u!r}"))
+        if r not in roles:
+            diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {r!r}"))
+        if (u, r) in seen_ua:
+            diags.append(Diagnostic(Severity.INFO, loc, f"duplicate assignment <{u}, {r}>"))
+        seen_ua.add((u, r))
+
+    seen_ca: set[CanAssignRule] = set()
+    for i, rule in enumerate(policy.ca):
+        loc = f"CA[{i}]"
+        literals = rule.pre.roles()
+        if not (rule.admin in roles and rule.target in roles and literals <= roles):
+            for name in (rule.admin, rule.target, *sorted(literals)):
+                if name not in roles:
+                    diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {name!r}"))
+        if not rule.pre.positive.isdisjoint(rule.pre.negative):
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    loc,
+                    "precondition uses roles both positively and negatively: "
+                    + ", ".join(sorted(rule.pre.positive & rule.pre.negative)),
+                )
+            )
+        if rule.target in literals:
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR, loc, f"target {rule.target!r} appears in its own precondition"
+                )
+            )
+        size = len(seen_ca)
+        seen_ca.add(rule)
+        if len(seen_ca) == size:
+            diags.append(Diagnostic(Severity.INFO, loc, "duplicate can_assign rule"))
+
+    seen_cr: set[CanRevokeRule] = set()
+    for i, rule in enumerate(policy.cr):
+        loc = f"CR[{i}]"
+        for name in (rule.admin, rule.target):
+            if name not in roles:
+                diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {name!r}"))
+        if rule in seen_cr:
+            diags.append(Diagnostic(Severity.INFO, loc, "duplicate can_revoke rule"))
+        seen_cr.add(rule)
+
+    seen_edges: set[tuple[str, str]] = set()
+    for i, (s, j) in enumerate(policy.hierarchy.edges):
+        loc = f"RH[{i}]"
+        for name in (s, j):
+            if name not in roles:
+                diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {name!r}"))
+        if (s, j) in seen_edges:
+            diags.append(Diagnostic(Severity.INFO, loc, f"duplicate edge <{s}, {j}>"))
+        seen_edges.add((s, j))
+    # a senior is on a cycle exactly when one of its juniors grants it back
+    closures = policy.hierarchy.closures
+    cycle = sorted({s for s, j in policy.hierarchy.edges if s in closures.get(j, ())})
+    if cycle:
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "RH",
+                "hierarchy contains a cycle involving: " + ", ".join(cycle),
+            )
+        )
+
+    seen_admin: set[str] = set()
+    for i, r in enumerate(policy.admin_roles):
+        loc = f"ADMIN[{i}]"
+        if r not in roles:
+            diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {r!r}"))
+        if r in seen_admin:
+            diags.append(Diagnostic(Severity.INFO, loc, f"duplicate admin role {r!r}"))
+        seen_admin.add(r)
+
+    for i, q in enumerate(policy.queries):
+        loc = f"SPEC[{i}]"
+        if q.user not in users:
+            diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared user {q.user!r}"))
+        if q.target not in roles:
+            diags.append(Diagnostic(Severity.ERROR, loc, f"undeclared role {q.target!r}"))
+
+    return diags
 
 
 def reference_slice(

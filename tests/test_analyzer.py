@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -591,6 +592,23 @@ class TestEngine:
                     _engine._enabled(program, words, None),
                 )
         assert tested > 900 and hierarchical > 150
+
+    def test_enable_table_builds_in_little_more_than_its_size(self):
+        """The unsliced hierarchical bank-18 program (5,185 actions, 159
+        tested bytes) builds its 25.5 MiB table without a (P, 256, A)
+        bool array."""
+        policy = generate_bank(
+            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+        )
+        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
+        tracemalloc.start()
+        try:
+            table = _engine._enable_table(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.rows.shape == (159, 256, 82)
+        assert peak < 2 * table.rows.nbytes
 
 
 class TestOracle:

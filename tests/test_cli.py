@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -373,10 +374,8 @@ class TestEntryPoints:
             argv, env = [script], None
         else:
             # not installed: run the declared entry point from the sources
-            import tomllib
-
-            pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
-            module, func = pyproject["project"]["scripts"]["arbac"].split(":")
+            pyproject = (ROOT / "pyproject.toml").read_text()
+            module, func = re.search(r'^arbac = "(.+):(.+)"$', pyproject, re.M).groups()
             code = f"import sys; from {module} import {func}; sys.exit({func}())"
             argv = [sys.executable, "-c", code]
             env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -388,6 +387,22 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "CA"
+
+    def test_numpy_loads_only_with_the_analyzer(self):
+        code = (
+            "import sys, arbac\n"
+            f"policy = arbac.parse_policy({CHAIN_TEXT!r})\n"
+            "assert arbac.validate(policy) == []\n"
+            f"assert arbac.serialize_policy(policy) == {CHAIN_TEXT!r}\n"
+            "assert 'numpy' not in sys.modules\n"
+            "arbac.reach\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,10 +3,15 @@ application, action enumeration, and structural validation."""
 
 from __future__ import annotations
 
+import random
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arbac.bank import BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
     AlreadyAssigned,
@@ -29,6 +34,8 @@ from arbac.model import (
     validate,
     validation_errors,
 )
+
+from helpers import random_policy, reference_diagnose
 
 CHAIN = RoleHierarchy((("FA-Clerk", "FA"), ("FA", "Employee")))
 
@@ -291,3 +298,97 @@ class TestValidate:
     def test_diagnostic_str(self):
         d = Diagnostic(Severity.ERROR, "CA[3]", "boom")
         assert str(d) == "error: CA[3]: boom"
+
+
+def _ill_formed(seed: int) -> Policy:
+    """A corpus policy with one to four seeded faults of the kinds
+    validation reports: bad or reserved names, repeated declarations,
+    rules and edges, undeclared names in every section, overlapping
+    literals, a target in its own precondition, a cycle and a self-loop."""
+    rng = random.Random(seed)
+    policy, _ = random_policy(seed)
+    for _ in range(rng.randint(1, 4)):
+        roles, users = list(policy.roles), list(policy.users)
+        ua, ca_rules, cr = list(policy.ua), list(policy.ca), list(policy.cr)
+        edges, admins = list(policy.hierarchy.edges), list(policy.admin_roles)
+        queries = list(policy.queries)
+        role, user = rng.choice(roles), rng.choice(users)
+        ghost = rng.choice(("ghost", "TRUE", "1st", role))
+        fault = rng.randrange(14)
+        if fault == 0:
+            bad = rng.choice(("TRUE", "CA", "1st", "a b", "", role))
+            roles.insert(rng.randrange(len(roles) + 1), bad)
+        elif fault == 1:
+            users.insert(rng.randrange(len(users) + 1), rng.choice(("SPEC", "9u", user)))
+        elif fault == 2:
+            ua.append(rng.choice(((user, role), (ghost, role), (user, ghost))))
+            ua.insert(rng.randrange(len(ua) + 1), rng.choice(ua))
+        elif fault == 3:
+            pos, neg = rng.sample(roles + ["ghost", "zz"], 2), rng.sample(roles + ["gone"], 1)
+            admin, target = rng.choice((role, ghost)), rng.choice((role, ghost, "gone"))
+            ca_rules.append(ca(admin, pos, neg, target))
+        elif fault == 4 and ca_rules:
+            i = rng.randrange(len(ca_rules))
+            ca_rules.insert(rng.randrange(len(ca_rules) + 1), ca_rules[i])
+        elif fault == 5 and ca_rules:
+            i = rng.randrange(len(ca_rules))
+            rule = ca_rules[i]
+            shared = {rng.choice(roles), "ghost"} if rng.random() < 0.3 else {rng.choice(roles)}
+            pre = Precondition(rule.pre.positive | shared, rule.pre.negative | shared)
+            ca_rules[i] = replace(rule, pre=pre)
+        elif fault == 6 and ca_rules:
+            i = rng.randrange(len(ca_rules))
+            rule = ca_rules[i]
+            pre = Precondition(rule.pre.positive | {rule.target}, rule.pre.negative)
+            if rng.random() < 0.5:
+                pre = Precondition(rule.pre.positive, rule.pre.negative | {rule.target})
+            ca_rules[i] = replace(rule, pre=pre)
+        elif fault == 7:
+            cr.append(CanRevokeRule(rng.choice((role, ghost)), rng.choice((role, ghost))))
+            cr.insert(rng.randrange(len(cr) + 1), rng.choice(cr))
+        elif fault == 8:
+            edges.append(rng.choice(((role, ghost), (ghost, role), (ghost, ghost))))
+        elif fault == 9:
+            edges.append((role, rng.choice(roles)))
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        elif fault == 10:
+            # close a cycle through an existing edge, or a self-loop
+            senior, junior = rng.choice(edges) if edges else (role, role)
+            edges.append((junior, senior))
+        elif fault == 11:
+            admins += rng.sample(roles + ["ghost"], 2)
+            admins.insert(rng.randrange(len(admins) + 1), rng.choice(admins))
+        elif fault == 12:
+            query = SafetyQuery(rng.choice((user, "nobody")), rng.choice((role, ghost)))
+            queries.append(query)
+        elif fault == 13:
+            queries.append(SafetyQuery(user, role))
+            queries.insert(rng.randrange(len(queries) + 1), rng.choice(queries))
+        policy = Policy(
+            roles=tuple(roles),
+            users=tuple(users),
+            ua=tuple(ua),
+            ca=tuple(ca_rules),
+            cr=tuple(cr),
+            hierarchy=RoleHierarchy(tuple(edges)),
+            admin_roles=tuple(admins),
+            queries=tuple(queries),
+        )
+    return policy
+
+
+def test_validate_equals_the_reference_loops():
+    """Every diagnostic, in order, equals that of one hand-written loop
+    per section on the corpus, hierarchical bank 2 and seeded faults."""
+    policies = [random_policy(seed)[0] for seed in range(500)]
+    policies.append(generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical")))
+    policies += [_ill_formed(seed) for seed in range(1000)]
+    kinds = set()
+    for policy in policies:
+        expected = reference_diagnose(policy)
+        assert validate(policy) == expected
+        kinds.update(
+            (d.location.split("[")[0], re.split("[':<]", d.message)[0]) for d in expected
+        )
+    # the faults reach every (section, kind) pair that validation reports
+    assert len(kinds) == 22

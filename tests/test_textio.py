@@ -210,7 +210,7 @@ class TestScannerMatchesReference:
     def test_edge_cases(self, text):
         assert_parses_like_reference(text)
 
-    def test_texts_longer_than_a_lexer_block(self):
+    def test_long_texts_and_long_lines(self):
         block = 1 << 14
         lines = [f"Roles R{i} ; // ${'$' * (i % 23)}\n" for i in range(3 * block // 20)]
         text = "".join(lines)
