@@ -26,8 +26,7 @@ P lookups of ``ceil(A / 64)`` words instead of A word tests per tested
 word. Building the table takes 256 P A cells, more than a whole small
 search costs, so a search builds it once, at the first level whose
 broadcast would fill a chunk (``n * A >= CELLS``), and tests the levels
-before it by broadcast. Packed keys (below) start at the same level;
-on the short lists of smaller levels an argsort costs less.
+before it by broadcast.
 
 Ordering lemma: the result (verdict, states popped, witness) equals that
 of the FIFO search that pops one state at a time, tests it against the
@@ -45,12 +44,10 @@ that goal state comes from this chunk or an earlier one.
 
 A state's sort key is its one word, or for wider states its words
 stored big-endian and compared as raw bytes, whose ``memcmp`` order is
-the words' lexicographic order (word 0 first). Below the level that
-builds the table, keys are argsorted and each run of equal keys keeps
-its least position.
+the words' lexicographic order (word 0 first).
 
-Rank-fold lemma: from that level on, word ``w`` of every state lies
-below ``2 ** highs[w]`` (a state holds only initial and flipped bits).
+Rank-fold lemma: on every level, word ``w`` of every state lies below
+``2 ** highs[w]`` (a state holds only initial and flipped bits).
 ``(key << h) | word`` orders as the pair (key, word) when the word lies
 below ``2 ** h``, and a dense rank (the count of distinct smaller
 values, below ``2 ** s`` in a list shorter than that) orders as the
@@ -73,7 +70,6 @@ CELLS = 1 << 20
 
 
 class SearchResult(NamedTuple):
-    found: bool
     action_ids: list[int] | None  # action positions along the witness path
     popped: int
     truncated: bool
@@ -154,12 +150,13 @@ def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> 
     return ok.view(np.bool_)
 
 
-def _keys(states: np.ndarray, key) -> np.ndarray:
+def _keys(states: np.ndarray) -> np.ndarray:
     """The sort keys of (n, W) ``states``: the one word, or wider the
-    big-endian words viewed as one raw-byte ``key``."""
-    if key is np.uint64:
+    big-endian words viewed as one raw byte string."""
+    width = states.shape[1]
+    if width == 1:
         return states.ravel()
-    return states.astype(">u8").view(key).ravel()
+    return states.astype(">u8").view((np.void, 8 * width)).ravel()
 
 
 def _rank(column: np.ndarray, out: np.ndarray) -> int:
@@ -174,20 +171,14 @@ def _rank(column: np.ndarray, out: np.ndarray) -> int:
     return int(ordered[-1]).bit_length()
 
 
-def _distinct(states: np.ndarray, highs: list[int] | None, key) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(states: np.ndarray, highs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The position of each distinct row of ``states`` at its first
-    occurrence, and the distinct rows' keys in sorted order. Given
-    ``highs``, word ``w`` of every row lies below ``2 ** highs[w]`` and
-    the rows fold into packed keys (see the rank-fold lemma)."""
+    occurrence, and the distinct rows' keys in sorted order. Word ``w``
+    of every row lies below ``2 ** highs[w]``, so the rows fold into
+    packed keys (see the rank-fold lemma)."""
     n = len(states)
-    if not n:
-        return np.zeros(0, np.intp), _keys(states, key)
-    if highs is None:
-        keys = _keys(states, key)
-        order = keys.argsort()
-        ordered = keys[order]
-        starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        return np.minimum.reduceat(order, starts.nonzero()[0]), ordered[starts]
+    if n < 2:  # nothing to fold apart
+        return np.arange(n, dtype=np.intp), _keys(states)
     shift = (n - 1).bit_length()
     acc, bits = states[:, 0].copy(), highs[0]
     for w in range(1, len(highs)):
@@ -206,10 +197,13 @@ def _distinct(states: np.ndarray, highs: list[int] | None, key) -> tuple[np.ndar
     acc <<= shift
     acc |= np.arange(n, dtype=np.uint64)
     acc.sort()
-    folded = acc >> shift
-    starts = np.concatenate(([True], folded[1:] != folded[:-1]))
+    # a word starts a run of equal states where its folded key differs from
+    # the one before: where the two words' xor reaches bit ``shift``
+    starts = np.empty(n, np.bool_)
+    starts[0] = True
+    np.greater_equal(acc[1:] ^ acc[:-1], 1 << shift, out=starts[1:])
     first = (acc[starts] & ((1 << shift) - 1)).astype(np.intp)
-    return first, _keys(states.take(first, axis=0), key)
+    return first, _keys(states.take(first, axis=0))
 
 
 def _queued(first: np.ndarray, size: int) -> np.ndarray:
@@ -220,13 +214,12 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
-            highs: list[int] | None, table: EnableTable | None):
+def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, n_act: int,
+            highs: list[int], table: EnableTable | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
     first occurrence; their keys in sorted order; and whether one of
     them meets the goal."""
-    n_act = max(1, program.test.shape[1])
     rows = max(1, CELLS // n_act)
     parts = []
     for lo in range(0, len(frontier), rows):
@@ -235,7 +228,7 @@ def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
         cells = ok.ravel().nonzero()[0]
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
-        first, keys = _distinct(children, highs, key)
+        first, keys = _distinct(children, highs)
         at = np.minimum(visited.searchsorted(keys), len(visited) - 1)
         fresh = visited[at] != keys
         queued = _queued(first[fresh], len(cells))
@@ -248,7 +241,7 @@ def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, key,
         return (*parts[0], keys[fresh], hit)
     children, cells = (np.concatenate(p) for p in zip(*parts))
     # a child found in several chunks keeps its earliest chunk's occurrence
-    first, keys = _distinct(children, highs, key)
+    first, keys = _distinct(children, highs)
     queued = _queued(first, len(cells))
     return children[queued], cells[queued], keys, hit
 
@@ -268,13 +261,13 @@ def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
 def search(
     program: Program, max_states: int | None, max_depth: int | None
 ) -> SearchResult:
-    W = len(program.init)
-    # states sort as one uint64 word, or wider as big-endian raw bytes
-    key = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
     n_act = max(1, len(program.flip))
-    table = highs = None  # set when a level first fills a chunk
+    # a state holds only initial and flipped bits
+    held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
+    highs = [int(word).bit_length() for word in held]
+    table = None  # built when a level first fills a chunk
     frontier = program.init[None, :]
-    visited = _keys(frontier, key)  # sorted
+    visited = _keys(frontier)  # sorted
     hit = bool((program.init & program.goal).any())
     cells_seen = [np.zeros(1, np.intp)]  # parent * A + action per queue position
     offset = 0  # queue position of frontier[0]
@@ -287,17 +280,14 @@ def search(
             if len(hits):
                 found = offset + int(hits[0])
                 witness = _trace(found, cells_seen, n_act)
-                return SearchResult(True, witness, found + 1, False)
+                return SearchResult(witness, found + 1, False)
         if popped < n:
-            return SearchResult(False, None, max_states, True)
-        if table is None and n * len(program.flip) >= CELLS:
+            return SearchResult(None, max_states, True)
+        if table is None and n * n_act >= CELLS:
             table = _enable_table(program)
-            # a state holds only initial and flipped bits
-            held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
-            highs = [int(word).bit_length() for word in held]
-        frontier, cells, keys, hit = _expand(program, frontier, visited, key, highs, table)
+        frontier, cells, keys, hit = _expand(program, frontier, visited, n_act, highs, table)
         if depth == max_depth or not len(keys):
-            return SearchResult(False, None, offset + n, bool(len(keys)))
+            return SearchResult(None, offset + n, bool(len(keys)))
         # a stable sort of two sorted runs is one linear merge
         visited = np.sort(np.concatenate((visited, keys)), kind="stable")
         cells_seen.append(cells + offset * n_act)

@@ -126,7 +126,14 @@ class Verdict:
     sliced_role_count: int
 
 
-def _check_query(policy: Policy, query: SafetyQuery) -> None:
+def _check_inputs(policy: Policy, query: SafetyQuery) -> None:
+    """Raise InvalidPolicy if ``policy`` has validation errors, else
+    InvalidQuery if ``query`` names an undeclared user or role."""
+    errors = validation_errors(policy)
+    if errors:
+        raise InvalidPolicy(
+            "policy has validation errors: " + str(errors[0]), tuple(errors)
+        )
     problems = []
     if query.user not in policy.user_set:
         problems.append(f"user {query.user!r}")
@@ -134,14 +141,6 @@ def _check_query(policy: Policy, query: SafetyQuery) -> None:
         problems.append(f"role {query.target!r}")
     if problems:
         raise InvalidQuery("query references undeclared " + " and ".join(problems))
-
-
-def _require_well_formed(policy: Policy) -> None:
-    errors = validation_errors(policy)
-    if errors:
-        raise InvalidPolicy(
-            "policy has validation errors: " + str(errors[0]), tuple(errors)
-        )
 
 
 def _cone(policy: Policy, query: SafetyQuery) -> tuple[list[str], list[int], list[int]]:
@@ -179,8 +178,7 @@ def slice_policy(policy: Policy, query: SafetyQuery) -> Policy:
     Verdict-preserving: reach on the slice equals reach on the original,
     including shortest witness lengths.
     """
-    _require_well_formed(policy)
-    _check_query(policy, query)
+    _check_inputs(policy, query)
     roles, ca_map, cr_map = _cone(policy, query)
     kept = set(roles)
     return Policy(
@@ -274,8 +272,7 @@ def reach(
     sliced_role_count describe the instance actually searched, while
     witness rule indices always refer to ``policy``.
     """
-    _require_well_formed(policy)
-    _check_query(policy, query)
+    _check_inputs(policy, query)
     if limits is None:
         limits = SearchLimits()
 
@@ -290,10 +287,10 @@ def reach(
         limits.max_depth,
     )
 
-    if result.found:
+    if result.action_ids is not None:
         steps = []
         n_ca = len(ca_map)
-        for action_id in result.action_ids or []:
+        for action_id in result.action_ids:
             if action_id < n_ca:
                 i = ca_map[action_id]
                 steps.append(ActionStep(ActionKind.ASSIGN, i, policy.ca[i].target))
@@ -328,8 +325,7 @@ def oracle_reach(
     off the completed exploration. Kept intentionally simple; the role
     cap bounds the cost.
     """
-    _require_well_formed(policy)
-    _check_query(policy, query)
+    _check_inputs(policy, query)
     if len(policy.roles) > max_roles:
         raise TooLarge(
             f"{len(policy.roles)} roles exceed the oracle cap of {max_roles}"

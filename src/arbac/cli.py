@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bank import BankConfig, HierarchyMode, Instrumentation, generate_bank
-from .model import Policy, SafetyQuery, Severity, validate
+from .model import ROLE_NAME_RE, RESERVED_WORDS, Policy, SafetyQuery, Severity, validate
 from .sop import SopConstraint, SopError, compile_sop, compile_sop_monitor
 from .textio import ParseError, format_ca_rule, parse_policy, serialize_policy
 
@@ -208,11 +208,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile_sop(args) -> int:
-    roles = tuple(r.strip() for r in args.roles.split(",") if r.strip())
-    guard = frozenset(r.strip() for r in args.guard.split(",") if r.strip())
+    roles = [r.strip() for r in args.roles.split(",") if r.strip()]
+    guard = [r.strip() for r in args.guard.split(",") if r.strip()]
+    named = {"--roles": roles, "--guard": guard, "--admin": [args.admin],
+             "--monitor": [args.monitor] if args.monitor else []}
+    for flag, names in named.items():
+        for name in names:
+            # the names are printed as policy text, which must parse back
+            if not ROLE_NAME_RE.match(name) or name in RESERVED_WORDS:
+                _err(f"error: {flag}: invalid role name {name!r}")
+                return 1
     try:
-        constraint = SopConstraint(roles, args.limit)
-        rules = list(compile_sop(constraint, guard=guard, admin=args.admin))
+        constraint = SopConstraint(tuple(roles), args.limit)
+        rules = list(compile_sop(constraint, guard=frozenset(guard), admin=args.admin))
         if args.monitor:
             rules.extend(
                 compile_sop_monitor(constraint, monitor=args.monitor, admin=args.admin)

@@ -305,11 +305,21 @@ class TestCompileSop:
             ["compile-sop", "--roles", "A,A", "--limit", "1"],
             ["compile-sop", "--roles", "A,B", "--limit", "1", "--guard", "A"],
             ["compile-sop", "--roles", "A,B", "--limit", "1", "--monitor", "A"],
+            ["compile-sop", "--roles", "a,b c,TRUE", "--limit", "1", "--admin", "Ro les"],
+            ["compile-sop", "--roles", "A,TRUE", "--limit", "1"],
+            ["compile-sop", "--roles", "A,B", "--limit", "1", "--guard", "x;y"],
+            ["compile-sop", "--roles", "A,B", "--limit", "1", "--admin", "Ro les"],
+            ["compile-sop", "--roles", "A,B", "--limit", "1", "--monitor", "SPEC"],
         ],
     )
     def test_bad_constraints_exit_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error:" in capsys.readouterr()[1]
+
+    def test_bad_name_is_reported_before_any_rule(self, capsys):
+        argv = ["compile-sop", "--roles", "a,b c,TRUE", "--limit", "1", "--admin", "Ro les"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: --roles: invalid role name 'b c'\n")
 
 
 class TestValidate:
