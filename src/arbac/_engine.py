@@ -9,12 +9,13 @@ parents with the action's target bit flipped. Sorting the children's
 keys keeps the first occurrence of each child, and ``searchsorted``
 into the sorted keys of all visited states drops the visited ones.
 
-An action passes when ``(words & test) == need`` holds on every word.
-For flat policies the words are the state itself. With a hierarchy they
-are the state followed by its authorized set (the state plus the
-downward closure of every senior role it holds), so one test can look
-at both: the target bit in the state, the precondition in the
-authorized set.
+An action passes when ``(words & test) == need`` holds on every tested
+word: the state's role bits, then one authorization bit per role that
+another role grants, set when that role or one granting it is held, so
+exactly when it is authorized. A precondition literal tests the role's
+authorization bit, or its role bit if it has none (no other role grants
+it); the target test reads the role bit. A flat policy has no
+authorization bits: its tested words are the state itself.
 
 Byte lemma: ``&`` and ``==`` act bit by bit, so that test holds on
 every word exactly when it holds on every byte of the words. The enable
@@ -76,17 +77,17 @@ class SearchResult(NamedTuple):
 
 
 class Program(NamedTuple):
-    """A compiled policy: per-action tests on the state (and authorized)
-    words, the bit each action flips, the goal, and the closure of every
-    senior role (None for flat policies)."""
+    """A compiled policy: per-action tests on the tested words, the bit
+    each action flips, the goal, and the authorization bits each role
+    sets when held."""
 
     init: np.ndarray  # (W,) initial state
-    test: np.ndarray  # (W, A), or (2W, A) with a hierarchy: one row per word
+    test: np.ndarray  # (T, A): one row per tested word, T >= W
     need: np.ndarray  # same shape as test
     flip: np.ndarray  # (A, W) target bit of each action
-    goal: np.ndarray  # (W,) roles whose authorization implies the target
-    seniors: tuple | None = None  # (word, shift) of the K roles with juniors
-    closure: np.ndarray | None = None  # (K, W) downward closures of those roles
+    goal: np.ndarray  # (W,) roles whose holding authorizes the target
+    grantors: tuple  # (word, shift) in the state of the K roles that set some
+    closure: np.ndarray  # (K, T) authorization bits each sets; K = 0 when flat
 
 
 def set_bits(shape: tuple[int, ...], positions) -> np.ndarray:
@@ -100,12 +101,13 @@ def set_bits(shape: tuple[int, ...], positions) -> np.ndarray:
 
 
 def _tested_words(program: Program, states: np.ndarray) -> np.ndarray:
-    if program.closure is None:
+    if not len(program.closure):
         return states
-    word, shift = program.seniors
+    word, shift = program.grantors
     held = ((states[:, word] >> shift) & 1).astype(np.bool_)
-    below = np.where(held[:, :, None], program.closure, 0)
-    return np.concatenate((states, states | np.bitwise_or.reduce(below, axis=1)), axis=1)
+    words = np.bitwise_or.reduce(np.where(held[:, :, None], program.closure, 0), axis=1)
+    words[:, : states.shape[1]] |= states
+    return words
 
 
 class EnableTable(NamedTuple):
@@ -183,11 +185,12 @@ def _distinct(states: np.ndarray, highs: list[int]) -> tuple[np.ndarray, np.ndar
     acc, bits = states[:, 0].copy(), highs[0]
     for w in range(1, len(highs)):
         word, high = states[:, w], highs[w]
-        if bits + high + shift > 64:
-            bits = _rank(acc, acc)
-        if bits + high > 64:
+        # a word too wide even beside a ranked key is ranked first (n < 2**32)
+        if bits + high + shift > 64 and high > shift and high + 2 * shift > 64:
             word = np.empty_like(acc)
             high = _rank(states[:, w], word)
+        if bits + high + shift > 64:
+            bits = _rank(acc, acc)
         acc <<= high
         acc |= word
         bits += high

@@ -30,13 +30,13 @@ immutable and a slice is always a new ``Policy``, never an edited one.
 
 ``reach`` compiles its search program straight from the cone (the kept
 roles and the kept rules' indices) without building the sliced
-``Policy``. Its closure rows are the policy's closures restricted to the
-kept roles. They differ from the sliced hierarchy's only where a path
-runs through a dropped role, and then they differ only on a kept role
-that no kept rule tests and the goal does not hold (a relevant role's
-seniors are all relevant, so none is dropped). The enabled actions and
-the goal test are therefore those of ``slice_policy``'s program; a
-differential test checks this on every role of the corpus.
+``Policy``. Its authorization rows are the policy's closures restricted
+to the kept roles. They differ from the sliced hierarchy's only where a
+path runs through a dropped role, and then only on a kept role that no
+kept rule tests and the goal does not hold (a relevant role's seniors
+are all relevant, so none is dropped). The enabled actions and the goal
+test are therefore those of ``slice_policy``'s program; a differential
+test checks this on every role of the corpus.
 """
 
 from __future__ import annotations
@@ -205,55 +205,53 @@ def _compile_masks(
     """The search program of ``query`` on ``policy`` restricted to
     ``roles`` and the rules of ``ca_map`` and ``cr_map``, built from role
     indices: one bit per kept role, one action per kept can_assign rule
-    (in the maps' order) then per kept can_revoke rule. Closure rows are
-    the hierarchy's closures restricted to the kept roles (see the module
-    docstring for why that is sound on a cone).
+    (in the maps' order) then per kept can_revoke rule. Authorization
+    rows come from the hierarchy's closures restricted to the kept roles
+    (see the module docstring for why that is sound on a cone).
     """
     index = {role: i for i, role in enumerate(roles)}
     n_ca = len(ca_map)
     n_act = n_ca + len(cr_map)
+    # each kept role's closure, restricted to the kept roles; a role that
+    # another kept role grants gets an authorization bit after the roles
+    closures = policy.hierarchy.closures
+    below = [[index[j] for j in closures.get(role, (role,)) if j in index] for role in roles]
+    granted = sorted({j for s, js in enumerate(below) for j in js if j != s})
+    auth = {j: len(roles) + k for k, j in enumerate(granted)}
+    tested = {role: auth.get(i, i) for role, i in index.items()}
     n_words = max(1, (len(roles) + 63) // 64)
-    width = 64 * n_words
+    n_tested = max(1, (len(roles) + len(granted) + 63) // 64)
+    width = 64 * n_tested
 
-    # one bit row per action in each of four planes (positive literals,
-    # negative literals, can_assign target, can_revoke target), then the
-    # initial state, the goal and the closure of each senior
+    # one bit row of the tested words per action in each of four planes
+    # (positive literals, negative literals, can_assign target, can_revoke
+    # target), then the initial state, the goal and the authorization row
+    # of each grantor
     row = [a * width for a in range(n_act)]
     plane = n_act * width
     ca = [(a, policy.ca[i]) for a, i in enumerate(ca_map)]
     cr = [(a, policy.cr[i]) for a, i in enumerate(cr_map, n_ca)]
-    cells = [row[a] + index[r] for a, rule in ca for r in rule.pre.positive]
-    cells += [plane + row[a] + index[r] for a, rule in ca for r in rule.pre.negative]
+    cells = [row[a] + tested[r] for a, rule in ca for r in rule.pre.positive]
+    cells += [plane + row[a] + tested[r] for a, rule in ca for r in rule.pre.negative]
     cells += [2 * plane + row[a] + index[rule.target] for a, rule in ca]
     cells += [3 * plane + row[a] + index[r.target] for a, r in cr]
     cells += [4 * plane + index[role] for role in policy.initial_roles(query.user)]
+    # the roles whose holding authorizes the target
     target = index[query.target]
-    # the closure of every kept role with a kept junior, and the roles
-    # whose holding authorizes the target
-    closures = policy.hierarchy.closures
-    seniors, below = [], []
-    for s, role in enumerate(roles):
-        juniors = [index[j] for j in closures.get(role, ()) if j in index]
-        if any(j != s for j in juniors):
-            seniors.append(s)
-            below.append(juniors)
-    granted_by = [s for s, js in zip(seniors, below) if s != target and target in js]
+    granted_by = [s for s, js in enumerate(below) if s != target and target in js]
     cells += [4 * plane + width + r for r in (target, *granted_by)]
-    cells += [4 * plane + (2 + k) * width + j for k, js in enumerate(below) for j in js]
-    bits = _engine.set_bits((4 * n_act + 2 + len(seniors), n_words), cells)
-    pos, neg, assigned, revoked = bits[: 4 * n_act].reshape(4, n_act, n_words)
-    init, goal, closure = bits[4 * n_act], bits[4 * n_act + 1], bits[4 * n_act + 2 :]
+    grantors = [s for s, js in enumerate(below) if any(j in auth for j in js)]
+    cells += [4 * plane + (2 + k) * width + auth[j]
+              for k, s in enumerate(grantors) for j in below[s] if j in auth]
+    bits = _engine.set_bits((4 * n_act + 2 + len(grantors), n_tested), cells)
+    pos, neg, assigned, revoked = bits[: 4 * n_act].reshape(4, n_act, n_tested)
+    init, goal = bits[4 * n_act, :n_words], bits[4 * n_act + 1, :n_words]
     flip = assigned | revoked
-    if not seniors:
-        test, need = pos | neg | flip, pos | revoked
-        return _engine.Program(init, test.T.copy(), need.T.copy(), flip, goal)
-    # the state words test the target bit, the authorized words the
-    # precondition
-    test = np.concatenate((flip.T, (pos | neg).T))
-    need = np.concatenate((revoked.T, pos.T))
-    seniors = np.array(seniors)
-    held_bit = (seniors >> 6, (seniors & 63).astype(np.uint64))
-    return _engine.Program(init, test, need, flip, goal, held_bit, closure)
+    test, need = pos | neg | flip, pos | revoked
+    grantors = np.array(grantors, np.intp)
+    held_bit = (grantors >> 6, (grantors & 63).astype(np.uint64))
+    flip, closure = np.ascontiguousarray(flip[:, :n_words]), bits[4 * n_act + 2 :]
+    return _engine.Program(init, test.T.copy(), need.T.copy(), flip, goal, held_bit, closure)
 
 
 def reach(

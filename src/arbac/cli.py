@@ -131,7 +131,6 @@ def _report_human(v: "Verdict", query: SafetyQuery, wall_time_ms: int) -> None:
 
 def cmd_check(args) -> int:
     from .analyzer import InvalidQuery, SearchLimits, reach
-    from .model import InvalidPolicy
 
     policy = _load_policy(args.policy)
     if policy is None:
@@ -179,7 +178,7 @@ def cmd_check(args) -> int:
                 limits=limits,
                 use_slicing=not args.no_slicing,
             )
-        except (InvalidQuery, InvalidPolicy) as exc:
+        except InvalidQuery as exc:
             _err(f"error: {exc}")
             return 1
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))

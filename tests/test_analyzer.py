@@ -504,7 +504,7 @@ class TestEngine:
 
     def test_bank_slices_in_small_chunks(self, monkeypatch):
         # every level fills a chunk, so the enable table tests two-word
-        # states and, with a hierarchy, authorized-set words
+        # states and, with a hierarchy, authorization bits
         monkeypatch.setattr(_engine, "CELLS", 64)
         self.test_two_word_bank_slice()
         self.test_hierarchical_bank_slice()
@@ -522,6 +522,24 @@ class TestEngine:
                 wide, query = widen(policy, query, extra=extra - (extra - 1) % 3)
                 assert 58 < len(wide.roles) <= 64
                 assert_matches_reference(wide, query)
+
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_authorization_bits_spill_into_a_second_tested_word(self, cells, monkeypatch):
+        # hierarchical corpus policies widened to 63 roles: the state fits
+        # one word, the role bits plus the authorization bits need two
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        spilled = 0
+        for seed in range(500):
+            policy, query = random_policy(seed)
+            if policy.hierarchy.is_empty():
+                continue
+            wide, query = widen(policy, query, extra=63 - len(policy.roles))
+            program = _compile_masks(wide, query, *whole(wide))
+            if (len(program.init), len(program.test)) != (1, 2):
+                continue
+            spilled += 1
+            assert_matches_reference(wide, query, [SearchLimits(cap) for cap in (None, 1, 4, 16)])
+        assert spilled == 68
 
     @pytest.mark.parametrize("high", [0, 1, 3, 20, 44, 61, 63, 64])
     def test_distinct_keeps_first_occurrences(self, high):
@@ -564,6 +582,20 @@ class TestEngine:
             assert _engine._rank(column, column) == (len(values) - 1).bit_length()
             assert (column == out).all()
 
+    def test_distinct_ranks_full_words_before_the_key(self, monkeypatch):
+        # 2,500 rows of ten 64-bit words: each word after the first needs a
+        # rank to fit, and ranking it first leaves room for two more before
+        # the key needs one (ranking the key first costs 18 ranks)
+        calls = []
+        rank = _engine._rank
+        monkeypatch.setattr(_engine, "_rank", lambda *a: calls.append(1) or rank(*a))
+        rng = np.random.default_rng(5)
+        states = rng.integers(0, 2**64, size=(2500, 10), dtype=np.uint64)
+        states[1::2] = states[::2]
+        first, _ = _engine._distinct(states, [64] * 10)
+        assert sorted(first.tolist()) == list(range(0, 2500, 2))
+        assert len(calls) <= 12
+
     def test_enable_table_matches_broadcast(self):
         """The table's enable bits equal the broadcast test exactly, on
         random states (reachable or not) of every corpus program."""
@@ -577,7 +609,7 @@ class TestEngine:
                 if not len(program.flip):
                     continue
                 tested += 1
-                hierarchical += program.closure is not None
+                hierarchical += len(program.closure) > 0
                 states = rng.integers(0, 2**64, size=(200, len(program.init)), dtype=np.uint64)
                 states[0], states[1] = 0, ~np.uint64(0)
                 words = _engine._tested_words(program, states)
@@ -588,9 +620,24 @@ class TestEngine:
                 )
         assert tested > 900 and hierarchical > 150
 
+    def test_hierarchical_bank_cones_test_one_word(self):
+        """A bank-18 cone of one state word tests one word: its roles and
+        their authorization bits together fit in 64 bits."""
+        policy = generate_bank(
+            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+        )
+        hierarchical = 0
+        for role in policy.roles:
+            query = SafetyQuery("newUser", role)
+            program = _compile_masks(policy, query, *_cone(policy, query))
+            if len(program.init) == 1:
+                assert len(program.test) == 1, role
+                hierarchical += len(program.closure) > 0
+        assert hierarchical >= 594
+
     def test_enable_table_builds_in_little_more_than_its_size(self):
-        """The unsliced hierarchical bank-18 program (5,185 actions, 159
-        tested bytes) builds its 25.5 MiB table without a (P, 256, A)
+        """The unsliced hierarchical bank-18 program (5,185 actions, 91
+        tested bytes) builds its 14.6 MiB table without a (P, 256, A)
         bool array."""
         policy = generate_bank(
             BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
@@ -602,7 +649,7 @@ class TestEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.rows.shape == (159, 256, 82)
+        assert table.rows.shape == (91, 256, 82)
         assert peak < 2 * table.rows.nbytes
 
 
@@ -690,10 +737,16 @@ class TestReplay:
         # rule index out of range, in both directions
         assert not replay(policy, Q_B, Witness((ActionStep(ActionKind.ASSIGN, 5, "B"),)))
         assert not replay(policy, Q_B, Witness((ActionStep(ActionKind.ASSIGN, -1, "B"),)))
+        for index in (1, -1):
+            step = ActionStep(ActionKind.REVOKE, index, "A")
+            assert not replay(policy, Q_B, Witness((step, good[1])))
         # step role contradicts the rule it names
         assert not replay(
             policy, Q_B, Witness((good[0], ActionStep(ActionKind.ASSIGN, 0, "A")))
         )
+        assert not replay(policy, Q_B, Witness((ActionStep(ActionKind.REVOKE, 0, "B"), good[1])))
+        # a kind that is no ActionKind
+        assert not replay(policy, Q_B, Witness((ActionStep("grant", 0, "B"),)))
         # stopping early leaves the target unauthorized
         assert not replay(policy, Q_B, Witness(good[:1]))
 

@@ -16,6 +16,7 @@ import pytest
 
 from arbac.bank import BankConfig, generate_bank
 from arbac.cli import MAX_STATES_ENV, main
+from arbac.model import Severity, validate
 from arbac.textio import parse_policy, serialize_policy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +75,23 @@ class TestGenerate:
         out, _ = capsys.readouterr()
         assert out == ""
         assert len(parse_policy(dest.read_text(encoding="ascii")).roles) == 34
+
+    def test_out_into_a_missing_directory_fails(self, tmp_path, capsys):
+        dest = tmp_path / "absent" / "bank.arbac"
+        assert main(["generate", "--branches", "1", "--out", str(dest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
+
+    def test_hierarchical_for_a_named_user(self, capsys):
+        argv = ["generate", "--branches", "1", "--hierarchy", "hierarchical", "--user", "alice"]
+        assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert "\nRH\n" in out
+        assert "\nUsers alice ;\n" in out
+        policy = parse_policy(out)
+        assert not policy.hierarchy.is_empty()
+        assert not [d for d in validate(policy) if d.severity is Severity.ERROR]
 
     def test_zero_branches_fails(self, capsys):
         assert main(["generate", "--branches", "0"]) == 1
@@ -341,6 +359,13 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert "info:" in capsys.readouterr()[1]
 
+    def test_missing_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "absent.arbac"
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
 
 class TestStats:
     def test_bank_wide_numbers(self, tmp_path, capsys):
@@ -366,6 +391,13 @@ class TestStats:
         }
         assert stats["mixedPreconditions"] == 3960 + 144
         assert "4194 can_assign" in err
+
+    def test_missing_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "absent.arbac"
+        assert main(["stats", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
 
 
 class TestEntryPoints:
