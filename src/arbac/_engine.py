@@ -41,7 +41,29 @@ kept ones from that list by a mask keeps them in queue order. The goal
 test and the ``max_states`` cap then only need a state's position in
 the queue, and ``max_depth`` only its level. A chunk that yields an
 unvisited goal state ends the level early: every state queued before
-that goal state comes from this chunk or an earlier one.
+that goal state comes from this chunk or an earlier one. So does a
+chunk after which the level already queues more states than the cap
+leaves to pop: those are the level's queue prefix, and the next round
+sees the level overflow the cap. Exactly as many would not do, as the
+cut level would then pass for a whole one. The summed sizes of the
+chunks bound the level's distinct count from above; the exact count
+takes a merge of the chunks so far, made only when that bound exceeds
+the cap and has doubled since the last merge, so a level merges a
+logarithmic number of times, not once per chunk.
+
+Chunk lemma: expanding a chunk reads only the frontier, the visited
+keys, the program, the enable table and ``highs``, none of which
+changes during a level, so the chunks of a level are independent work.
+Taking their results in chunk order lists the children exactly as one
+pass over the frontier would, so the ordering lemma holds however the
+chunks are expanded. With two CPUs, one worker thread expands every
+other chunk of a level while this thread expands the one before it. It
+holds one chunk at a time, and ``_expand`` waits for it before
+returning. Memory rule: every thread has its own malloc arena, which
+keeps what the thread freed. So there is one worker for the life of the
+process, started the first time a level spans two chunks, and its
+results are copied into this thread's arrays: its arena then holds no
+more than one chunk's scratch memory.
 
 A state's sort key is its one word, or for wider states its words
 stored big-endian and compared as raw bytes, whose ``memcmp`` order is
@@ -62,12 +84,27 @@ first occurrence.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
 # (state, action) cells per frontier chunk: states x actions
 CELLS = 1 << 20
+
+# whether a worker thread expands every other chunk of a level: on one
+# CPU it gains no time and adds a malloc arena, about 6 MiB of peak RSS
+PAIRED = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) >= 2
+
+# the worker's executor, made when a level first spans two chunks: one
+# thread for the life of the process, so one malloc arena
+_workers: list = []
+_worker_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_workers.clear)
 
 
 class SearchResult(NamedTuple):
@@ -218,35 +255,99 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
 
 
 def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, n_act: int,
-            highs: list[int], table: EnableTable | None):
+            highs: list[int], table: EnableTable | None, room: int | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
     first occurrence; their keys in sorted order; and whether one of
-    them meets the goal."""
+    them meets the goal. Chunks stop at a goal state, or once more than
+    ``room`` (None: no cap) states are queued."""
     rows = max(1, CELLS // n_act)
-    parts = []
-    for lo in range(0, len(frontier), rows):
+
+    def expand(lo: int):
         chunk = frontier[lo : lo + rows]
         ok = _enabled(program, _tested_words(program, chunk), table)
         cells = ok.ravel().nonzero()[0]
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
         first, keys = _distinct(children, highs)
-        at = np.minimum(visited.searchsorted(keys), len(visited) - 1)
-        fresh = visited[at] != keys
+        fresh = _absent(visited, keys)
         queued = _queued(first[fresh], len(cells))
-        children = children[queued]
-        parts.append((children, cells[queued] + lo * n_act))
-        hit = bool((children & program.goal).any())
+        return children[queued], cells[queued] + lo * n_act, keys[fresh]
+
+    starts = range(0, len(frontier), rows)
+    if len(starts) > 1 and PAIRED:
+        return _level(_in_pairs(expand, starts), program.goal, highs, room)
+    return _level(map(expand, starts), program.goal, highs, room)
+
+
+def _worker():
+    """The executor of the one worker thread, made on first use."""
+    with _worker_lock:
+        if not _workers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _workers.append(ThreadPoolExecutor(1))
+        return _workers[0]
+
+
+def _in_pairs(expand, starts: range):
+    """``map(expand, starts)``, the worker expanding each odd chunk
+    while this thread expands the even one before it. Both are done
+    before either is yielded, and the worker's arrays are copied into
+    this thread's."""
+    for i in range(0, len(starts), 2):
+        theirs = _worker().submit(expand, starts[i + 1]) if i + 1 < len(starts) else None
+        try:
+            ours = expand(starts[i])
+        finally:  # even if this thread failed, the worker's chunk ends here
+            if theirs is not None:
+                theirs = [a.copy() for a in theirs.result()]  # re-raises its error
+        yield ours
+        if theirs is not None:
+            yield theirs
+
+
+def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
+    """The level that the expanded ``chunks``, taken in order, queue: see
+    ``_expand``."""
+    parts, count, merged = [], 0, ()
+    for children, cells, keys in chunks:
+        parts.append((children, cells))
+        hit = bool((children & goal).any())
         if hit:
             break  # the rest of the level queues behind this goal state
-    if len(parts) == 1:
-        return (*parts[0], keys[fresh], hit)
-    children, cells = (np.concatenate(p) for p in zip(*parts))
-    # a child found in several chunks keeps its earliest chunk's occurrence
+        # at least the level's distinct states: a child found by two chunks
+        # since the last merge counts twice
+        count += int(_absent(merged, keys).sum()) if len(merged) else len(keys)
+        if room is None or count <= room:
+            continue
+        if len(parts) > 1 and count >= 2 * len(merged):
+            # the exact count, merged once each time the level doubles
+            children, cells, keys = _merge(parts, highs)
+            parts, count, merged = [(children, cells)], len(keys), keys
+        if len(parts) == 1 and count > room:
+            break  # the queue prefix the cap pops is complete
+    if len(parts) > 1:
+        children, cells, keys = _merge(parts, highs)
+    return children, cells, keys, hit
+
+
+def _absent(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` the sorted, non-empty ``known`` lacks."""
+    at = np.minimum(known.searchsorted(keys), len(known) - 1)
+    return known[at] != keys
+
+
+def _merge(parts: list, highs: list[int]):
+    """The children and cells of the chunk results ``parts``, which it
+    empties, and the children's sorted keys: a child found in several
+    chunks keeps its earliest chunk's occurrence."""
+    children = np.concatenate([p[0] for p in parts])
+    cells = np.concatenate([p[1] for p in parts])
+    parts.clear()  # free the chunks before the sort
     first, keys = _distinct(children, highs)
     queued = _queued(first, len(cells))
-    return children[queued], cells[queued], keys, hit
+    return children[queued], cells[queued], keys
 
 
 def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
@@ -288,11 +389,13 @@ def search(
             return SearchResult(None, max_states, True)
         if table is None and n * n_act >= CELLS:
             table = _enable_table(program)
-        frontier, cells, keys, hit = _expand(program, frontier, visited, n_act, highs, table)
+        room = None if max_states is None else max_states - offset - n
+        frontier, cells, keys, hit = _expand(program, frontier, visited, n_act, highs, table, room)
         if depth == max_depth or not len(keys):
             return SearchResult(None, offset + n, bool(len(keys)))
-        # a stable sort of two sorted runs is one linear merge
-        visited = np.sort(np.concatenate((visited, keys)), kind="stable")
+        # a stable sort of two sorted runs is one linear merge, in place
+        visited = np.concatenate((visited, keys))
+        visited.sort(kind="stable")
         cells_seen.append(cells + offset * n_act)
         offset += n
         depth += 1

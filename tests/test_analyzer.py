@@ -5,7 +5,10 @@ witness replay."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from arbac import (
 )
 from arbac import _engine
 from arbac.analyzer import _compile_masks, _cone
-from arbac.bank import BankConfig, generate_bank
+from arbac.bank import ADMIN_ROLE, BankConfig, generate_bank
 from arbac.model import (
     ActionKind,
     ActionStep,
@@ -651,6 +654,244 @@ class TestEngine:
             tracemalloc.stop()
         assert table.rows.shape == (91, 256, 82)
         assert peak < 2 * table.rows.nbytes
+
+
+class TestLevelChunks:
+    """The chunk loop of one BFS level: the stop at the state cap, and
+    the worker thread that expands every other chunk."""
+
+    @staticmethod
+    def record_worker(monkeypatch):
+        """The futures of the chunks handed to the worker, which still
+        expands them; it never holds more than one."""
+        futures = []
+        worker = _engine._worker
+
+        class Recording:
+            def submit(self, fn, *args):
+                assert all(future.done() for future in futures)
+                futures.append(worker().submit(fn, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(_engine, "_worker", Recording)
+        return futures
+
+    @staticmethod
+    def bank_one():
+        policy = generate_bank(BankConfig(branches=1, instrumentation="q1"))
+        return policy, policy.queries[0]
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_a_capped_level_stops_at_the_cap(self, paired, monkeypatch):
+        """Under a 197,000-state cap, bank 1 q1 pops 558 states of the
+        level after its 80,000-state frontier (21 chunks). The first
+        chunk already queues more, so no later chunk is taken; the
+        worker's chunk, expanded beside it, is dropped."""
+        monkeypatch.setattr(_engine, "PAIRED", paired)
+        chunks, levels = [], []
+        enabled, expand = _engine._enabled, _engine._expand
+
+        def counted_enabled(program, words, table):
+            chunks.append(len(words))
+            return enabled(program, words, table)
+
+        def counted_expand(program, frontier, *args):
+            before = len(chunks)
+            out = expand(program, frontier, *args)
+            levels.append((len(frontier), len(chunks) - before))
+            return out
+
+        monkeypatch.setattr(_engine, "_enabled", counted_enabled)
+        monkeypatch.setattr(_engine, "_expand", counted_expand)
+        policy, query = self.bank_one()
+        verdict = reach(policy, query, SearchLimits(max_states=197_000))
+        assert verdict.outcome is Outcome.UNKNOWN and verdict.states_explored == 197_000
+        rows = _engine.CELLS // len(_compile_masks(policy, query, *_cone(policy, query)).flip)
+        frontier, taken = levels[-1]
+        assert -(-frontier // rows) == 21
+        assert taken == (2 if paired else 1)
+
+    @pytest.mark.parametrize("cells", [4, 64])
+    def test_capped_searches_match_the_reference(self, cells, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        for seed in range(0, 120, 3):
+            policy, query = random_policy(seed)
+            total = reach(policy, query, use_slicing=False).states_explored
+            caps = {1, 2, 3, total // 3, total // 2, total - 1, total, total + 1} - {0}
+            assert_matches_reference(policy, query, [SearchLimits(cap) for cap in sorted(caps)])
+
+    @pytest.mark.parametrize("cells", [4, 64])
+    def test_every_cap_on_one_division_matches_the_reference(self, cells, monkeypatch):
+        """Here a cut last level has no unvisited child, so a level that
+        stopped at exactly the states the cap leaves would pass for an
+        exhausted search."""
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        for mutated in (False, True):
+            policy = single_division_policy(mutated=mutated)
+            query = policy.queries[0]
+            total = reach(policy, query, use_slicing=False).states_explored
+            assert_matches_reference(policy, query, [SearchLimits(cap) for cap in range(1, total + 2)])
+
+    def test_a_cap_at_exhaustion_still_exhausts(self, monkeypatch):
+        """A cap equal to the states an unreachable query exhausts gives
+        the exhausted verdict, one less gives ``unknown``, although the
+        cap falls on the last state of a level of many chunks."""
+        monkeypatch.setattr(_engine, "CELLS", 4)
+        instances = [random_policy(seed) for seed in range(500)]
+        instances.append((single_division_policy(), single_division_policy().queries[0]))
+        capped = 0
+        for policy, query in instances:
+            full = reach(policy, query, use_slicing=False)
+            if full.outcome is not Outcome.UNREACHABLE or full.states_explored < 3:
+                continue
+            capped += 1
+            at = reach(policy, query, SearchLimits(full.states_explored), use_slicing=False)
+            below = reach(policy, query, SearchLimits(full.states_explored - 1), use_slicing=False)
+            assert at == full and at.exhausted
+            assert below.outcome is Outcome.UNKNOWN and not below.exhausted
+            assert below.states_explored == full.states_explored - 1
+        assert capped == 38
+
+    def test_bank_one_cap_at_exhaustion(self):
+        policy, query = self.bank_one()
+        at = reach(policy, query, SearchLimits(max_states=1 + 27**4))
+        below = reach(policy, query, SearchLimits(max_states=27**4))
+        assert at.outcome is Outcome.UNREACHABLE and at.exhausted
+        assert at.states_explored == 1 + 27**4
+        assert below.outcome is Outcome.UNKNOWN and not below.exhausted
+        assert below.states_explored == 27**4
+
+    def test_a_level_near_the_cap_merges_a_logarithmic_number_of_times(self, monkeypatch):
+        """At the exhaustion cap of bank 1 q1 the summed chunk sizes of
+        the last levels pass the room the cap leaves while their distinct
+        states do not. With 2^16 cells a level spans up to 425 chunks,
+        and merging the chunks so far once per chunk would cost a sort
+        of the level per chunk."""
+        monkeypatch.setattr(_engine, "CELLS", 1 << 16)
+        monkeypatch.setattr(_engine, "PAIRED", False)
+        levels = []
+        enabled, expand, merge = _engine._enabled, _engine._expand, _engine._merge
+
+        def counted_enabled(*args):
+            levels[-1][0] += 1
+            return enabled(*args)
+
+        def counted_merge(*args):
+            levels[-1][1] += 1
+            return merge(*args)
+
+        def counted_expand(*args):
+            levels.append([0, 0])
+            return expand(*args)
+
+        monkeypatch.setattr(_engine, "_enabled", counted_enabled)
+        monkeypatch.setattr(_engine, "_merge", counted_merge)
+        monkeypatch.setattr(_engine, "_expand", counted_expand)
+        policy, query = self.bank_one()
+        verdict = reach(policy, query, SearchLimits(max_states=1 + 27**4))
+        assert verdict.outcome is Outcome.UNREACHABLE and verdict.exhausted
+        assert max(chunks for chunks, _ in levels) == 425
+        assert sum(merges for _, merges in levels) > sum(chunks > 1 for chunks, _ in levels)
+        for chunks, merges in levels:
+            assert merges <= 1 + math.log2(chunks), (chunks, merges)
+
+    @pytest.mark.parametrize("cells", [4, 64])
+    def test_paired_and_inline_chunks_agree(self, cells, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        handed = self.record_worker(monkeypatch)
+        instances = [(*random_policy(seed), LIMITS) for seed in range(0, 60, 3)]
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("FA-Clerk@1", "FA@2"):
+            query = SafetyQuery("newUser", target)
+            instances.append((slice_policy(bank, query), query, LIMITS[::3]))
+        for policy, query, limits_list in instances:
+            program = _compile_masks(policy, query, *whole(policy))
+            for limits in limits_list:
+                results = []
+                for paired in (False, True):
+                    monkeypatch.setattr(_engine, "PAIRED", paired)
+                    results.append(_engine.search(program, limits.max_states, limits.max_depth))
+                    actual = reach(policy, query, limits, use_slicing=False)
+                    assert actual == fifo_reach(policy, query, limits), limits
+                assert results[0] == results[1], limits
+        assert handed
+
+    def test_one_worker_holds_one_chunk_done_before_expand_returns(self, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", 64)
+        monkeypatch.setattr(_engine, "PAIRED", True)
+        handed = self.record_worker(monkeypatch)
+        lock = threading.Lock()
+        running, most, workers = set(), [0], set()
+        enabled, expand = _engine._enabled, _engine._expand
+
+        def watched_enabled(program, words, table):
+            me = threading.get_ident()
+            with lock:
+                running.add(me)
+                most[0] = max(most[0], len(running))
+                if threading.current_thread() is not threading.main_thread():
+                    workers.add(me)
+            try:
+                return enabled(program, words, table)
+            finally:
+                with lock:
+                    running.discard(me)
+
+        def watched_expand(*args):
+            out = expand(*args)
+            assert all(future.done() for future in handed)
+            return out
+
+        monkeypatch.setattr(_engine, "_enabled", watched_enabled)
+        monkeypatch.setattr(_engine, "_expand", watched_expand)
+        policy = single_division_policy(mutated=True)
+        assert_matches_reference(policy, policy.queries[0], LIMITS[::5])
+        assert len(handed) > 1 and len(workers) == 1 and most[0] <= 2
+
+    @pytest.mark.parametrize("failing_thread", ["worker", "main"])
+    def test_an_error_ends_the_level_after_the_workers_chunk(self, failing_thread, monkeypatch):
+        """An error in either thread reaches the caller of ``reach``, and
+        only once the worker's chunk is done."""
+
+        class ChunkFailed(Exception):
+            pass
+
+        monkeypatch.setattr(_engine, "CELLS", 4)
+        monkeypatch.setattr(_engine, "PAIRED", True)
+        handed = self.record_worker(monkeypatch)
+        enabled = _engine._enabled
+
+        def failing(program, words, table):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (failing_thread == "main") and handed:
+                raise ChunkFailed
+            if not on_main:
+                time.sleep(0.05)  # still busy when this thread fails
+            return enabled(program, words, table)
+
+        policy = single_division_policy()
+        with monkeypatch.context() as patched:
+            patched.setattr(_engine, "_enabled", failing)
+            with pytest.raises(ChunkFailed):
+                reach(policy, policy.queries[0], use_slicing=False)
+        assert handed and all(future.done() for future in handed)
+        # the worker survives the error
+        assert_matches_reference(policy, policy.queries[0], LIMITS[:1])
+
+    def test_hierarchical_bank_queries_start_no_thread(self, monkeypatch):
+        """Every level of the 595 hierarchical bank-18 role queries fits
+        one chunk, so even with two cores no worker starts."""
+        monkeypatch.setattr(_engine, "PAIRED", True)
+        policy = generate_bank(
+            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+        )
+        roles = [r for r in policy.roles if "@" in r or r == ADMIN_ROLE]
+        assert len(roles) == 595
+        handed = self.record_worker(monkeypatch)
+        before = threading.active_count()
+        for role in roles:
+            reach(policy, SafetyQuery("newUser", role))
+        assert handed == [] and threading.active_count() == before
 
 
 class TestOracle:

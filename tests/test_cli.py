@@ -446,6 +446,17 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_the_worker_pool_loads_only_with_a_wide_level(self):
+        code = (
+            "import sys, arbac.cli, arbac.analyzer\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
