@@ -7,7 +7,8 @@ is expanded at once in numpy. Per frontier chunk of about ``CELLS``
 matrix, ``nonzero`` lists the enabled pairs, and the children are the
 parents with the action's target bit flipped. Sorting the children's
 keys keeps the first occurrence of each child, and ``searchsorted``
-into the sorted keys of all visited states drops the visited ones.
+into the sorted keys of visited states drops the visited ones (only
+where the distance lemma below lets a child be visited).
 
 An action passes when ``(words & test) == need`` holds on every tested
 word: the state's role bits, then one authorization bit per role that
@@ -64,6 +65,21 @@ keeps what the thread freed. So there is one worker for the life of the
 process, started the first time a level spans two chunks, and its
 results are copied into this thread's arrays: its arena then holds no
 more than one chunk's scratch memory.
+
+Distance lemma: every action flips exactly one bit, an assign needing
+its target absent and a revoke needing it held. So a state first queued
+at level k differs from ``init`` in at most k bits, a count with the
+parity of k. (a) The visited keys are kept in two sorted arrays, one
+per level parity, and the children of level d are looked up only in
+the array of parity d + 1. (b) A state is tight when it differs from ``init`` in
+exactly k bits. An action moves its bit away from ``init`` when it
+assigns a role not held initially or revokes one that was, that is when
+its target test needs ``init``'s bit. A tight parent's away step gives
+a child d + 1 bits from ``init``, more than any visited state: it is
+unvisited and is not looked up. A child is tight exactly when its
+parent is tight and its action moves away, so a bool per queued state
+carries the flag from level to level. Neither rule changes which
+children are kept, only which keys are searched.
 
 A state's sort key is its one word, or for wider states its words
 stored big-endian and compared as raw bytes, whose ``memcmp`` order is
@@ -254,25 +270,36 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, visited: np.ndarray, n_act: int,
-            highs: list[int], table: EnableTable | None, room: int | None):
+def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, known: np.ndarray,
+            away: np.ndarray, n_act: int, highs: list[int], table: EnableTable | None,
+            room: int | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
-    first occurrence; their keys in sorted order; and whether one of
-    them meets the goal. Chunks stop at a goal state, or once more than
-    ``room`` (None: no cap) states are queued."""
+    first occurrence and its tight flag; their keys in sorted order; and
+    whether one of them meets the goal. ``tight`` flags the frontier's
+    tight states, ``away`` the actions that move their bit away from
+    init, and ``known`` holds the sorted keys of the visited levels of
+    the children's parity (see the distance lemma). Chunks stop at a
+    goal state, or once more than ``room`` (None: no cap) states are
+    queued."""
     rows = max(1, CELLS // n_act)
 
     def expand(lo: int):
         chunk = frontier[lo : lo + rows]
         ok = _enabled(program, _tested_words(program, chunk), table)
         cells = ok.ravel().nonzero()[0]
+        del ok  # CELLS bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
+        tight_children = tight[lo : lo + rows][parent] & away[action]
+        del parent, action  # the chunk's scratch, freed before the sort
         first, keys = _distinct(children, highs)
-        fresh = _absent(visited, keys)
+        # a tight child is farther from init than any visited state
+        fresh = tight_children[first]
+        look = ~fresh
+        fresh[look] = _absent(known, keys[look])
         queued = _queued(first[fresh], len(cells))
-        return children[queued], cells[queued] + lo * n_act, keys[fresh]
+        return children[queued], cells[queued] + lo * n_act, tight_children[queued], keys[fresh]
 
     starts = range(0, len(frontier), rows)
     if len(starts) > 1 and PAIRED:
@@ -308,12 +335,13 @@ def _in_pairs(expand, starts: range):
 
 
 def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
-    """The level that the expanded ``chunks``, taken in order, queue: see
-    ``_expand``."""
+    """The level that the expanded ``chunks``, taken in order, queue: its
+    children, cells and tight flags, their sorted keys and whether one
+    meets the goal (see ``_expand``)."""
     parts, count, merged = [], 0, ()
-    for children, cells, keys in chunks:
-        parts.append((children, cells))
-        hit = bool((children & goal).any())
+    for *columns, keys in chunks:
+        parts.append(columns)
+        hit = bool((columns[0] & goal).any())
         if hit:
             break  # the rest of the level queues behind this goal state
         # at least the level's distinct states: a child found by two chunks
@@ -323,31 +351,32 @@ def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
             continue
         if len(parts) > 1 and count >= 2 * len(merged):
             # the exact count, merged once each time the level doubles
-            children, cells, keys = _merge(parts, highs)
-            parts, count, merged = [(children, cells)], len(keys), keys
+            *columns, keys = _merge(parts, highs)
+            parts, count, merged = [columns], len(keys), keys
         if len(parts) == 1 and count > room:
             break  # the queue prefix the cap pops is complete
     if len(parts) > 1:
-        children, cells, keys = _merge(parts, highs)
-    return children, cells, keys, hit
+        *columns, keys = _merge(parts, highs)
+    return (*columns, keys, hit)
 
 
 def _absent(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` the sorted, non-empty ``known`` lacks."""
+    """Which of ``keys`` the sorted ``known`` lacks."""
+    if not len(known):
+        return np.ones(len(keys), np.bool_)
     at = np.minimum(known.searchsorted(keys), len(known) - 1)
     return known[at] != keys
 
 
 def _merge(parts: list, highs: list[int]):
-    """The children and cells of the chunk results ``parts``, which it
-    empties, and the children's sorted keys: a child found in several
-    chunks keeps its earliest chunk's occurrence."""
-    children = np.concatenate([p[0] for p in parts])
-    cells = np.concatenate([p[1] for p in parts])
+    """The children, cells and tight flags of the chunk results
+    ``parts``, which it empties, and the children's sorted keys: a child
+    found in several chunks keeps its earliest chunk's occurrence."""
+    columns = [np.concatenate(column) for column in zip(*parts)]
     parts.clear()  # free the chunks before the sort
-    first, keys = _distinct(children, highs)
-    queued = _queued(first, len(cells))
-    return children[queued], cells[queued], keys
+    first, keys = _distinct(columns[0], highs)
+    queued = _queued(first, len(columns[0]))
+    return (*(column[queued] for column in columns), keys)
 
 
 def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
@@ -370,8 +399,13 @@ def search(
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
     highs = [int(word).bit_length() for word in held]
     table = None  # built when a level first fills a chunk
+    # whether each action moves its bit away from init: its target test
+    # (need, on the state words) reads init's bit there
+    away = ~((program.need[: len(program.init)].T ^ program.init) & program.flip).any(axis=1)
     frontier = program.init[None, :]
-    visited = _keys(frontier)  # sorted
+    tight = np.ones(1, np.bool_)
+    # the sorted keys of the visited even levels, and of the odd ones
+    visited = [_keys(frontier), _keys(frontier[:0])]
     hit = bool((program.init & program.goal).any())
     cells_seen = [np.zeros(1, np.intp)]  # parent * A + action per queue position
     offset = 0  # queue position of frontier[0]
@@ -390,12 +424,15 @@ def search(
         if table is None and n * n_act >= CELLS:
             table = _enable_table(program)
         room = None if max_states is None else max_states - offset - n
-        frontier, cells, keys, hit = _expand(program, frontier, visited, n_act, highs, table, room)
+        parity = (depth + 1) % 2
+        frontier, cells, tight, keys, hit = _expand(
+            program, frontier, tight, visited[parity], away, n_act, highs, table, room
+        )
         if depth == max_depth or not len(keys):
             return SearchResult(None, offset + n, bool(len(keys)))
         # a stable sort of two sorted runs is one linear merge, in place
-        visited = np.concatenate((visited, keys))
-        visited.sort(kind="stable")
+        visited[parity] = np.concatenate((visited[parity], keys))
+        visited[parity].sort(kind="stable")
         cells_seen.append(cells + offset * n_act)
         offset += n
         depth += 1

@@ -894,6 +894,163 @@ class TestLevelChunks:
         assert handed == [] and threading.active_count() == before
 
 
+# a role assigned and revoked again on the way to T: +A +B -A -C +T
+DETOUR = mini(
+    ("A", "B", "C", "T"),
+    ca=[assign("A"), assign("B", pos=("A",)), assign("C"), assign("T", pos=("B",), neg=("A", "C"))],
+    cr=[revoke("A"), revoke("B"), revoke("C")],
+    ua=[("u", "C")],
+)
+Q_T = SafetyQuery("u", "T")
+
+
+def popcounts(words):
+    """The set bits of each row of the (n, W) uint64 ``words``."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1).sum(axis=1)
+
+
+class TestDistanceLemma:
+    """A state queued at level k differs from init in at most k bits,
+    with k's parity; a tight child (k + 1 bits) is never looked up."""
+
+    @staticmethod
+    def count_lookups(monkeypatch):
+        """Per ``_absent`` call, the keys looked up, the keys found and
+        the known keys searched."""
+        calls = []
+        absent = _engine._absent
+
+        def counted(known, keys):
+            out = absent(known, keys)
+            calls.append((len(keys), int(len(keys) - out.sum()), len(known)))
+            return out
+
+        monkeypatch.setattr(_engine, "_absent", counted)
+        return calls
+
+    @staticmethod
+    def check_levels(monkeypatch):
+        """Check every level ``_expand`` reads or queues against the
+        lemma; returns the levels checked per search."""
+        searches = []
+        expand = _engine._expand
+
+        def check(program, states, tight, k):
+            apart = popcounts(states ^ program.init)
+            assert (apart <= k).all() and (apart % 2 == k % 2).all(), k
+            assert np.array_equal(tight, apart == k), k
+
+        def checked(program, frontier, tight, *args):
+            if len(frontier) == 1 and (frontier[0] == program.init).all():
+                searches.append(0)  # level 0: a new search
+            k = searches[-1]
+            check(program, frontier, tight, k)
+            out = expand(program, frontier, tight, *args)
+            check(program, out[0], out[2], k + 1)
+            searches[-1] += 1
+            return out
+
+        monkeypatch.setattr(_engine, "_expand", checked)
+        return searches
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_absent_from_no_known_keys(self, width):
+        states = np.arange(6, dtype=np.uint64)[:, None].repeat(width, axis=1)
+        keys = _engine._keys(states)
+        none = _engine._keys(states[:0])
+        assert _engine._absent(none, keys).tolist() == [True] * 6
+        assert _engine._absent(none, keys[:0]).tolist() == []
+        assert _engine._absent(keys[:3], keys).tolist() == [False] * 3 + [True] * 3
+
+    def test_every_action_flips_one_bit_that_it_tests(self):
+        """The lemma's premise on compiled programs: an action flips one
+        state bit, tests it, and needs it held exactly when it revokes."""
+        instances = []
+        for seed in range(500):
+            policy, query = random_policy(seed)
+            instances += [(policy, query, whole(policy)), (policy, query, _cone(policy, query))]
+        policy, query = TestLevelChunks.bank_one()
+        instances.append((policy, query, _cone(policy, query)))
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("Employee@2", "FA-Clerk@1"):
+            query = SafetyQuery("newUser", target)
+            instances += [(bank, query, whole(bank)), (bank, query, _cone(bank, query))]
+        hierarchical = 0
+        for policy, query, cone in instances:
+            program = _compile_masks(policy, query, *cone)
+            flip, words = program.flip, len(program.init)
+            hierarchical += len(program.closure) > 0
+            assert (popcounts(flip) == 1).all()
+            assert np.array_equal(program.test[:words].T & flip, flip)
+            revokes = (program.need[:words].T & flip).any(axis=1)
+            assert revokes.tolist() == [a >= len(cone[1]) for a in range(len(flip))]
+        assert len(instances) == 1005 and hierarchical > 150
+
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_a_detour_meets_states_two_levels_back(self, cells, monkeypatch):
+        """The shortest witness assigns A and revokes it again, so
+        children that are not tight meet states queued two or more levels
+        before them, the only ones their parity's keys hold."""
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        lookups = self.count_lookups(monkeypatch)
+        oracle = oracle_reach(DETOUR, Q_T)
+        full = reach(DETOUR, Q_T, use_slicing=False)
+        assert oracle.outcome is full.outcome is Outcome.REACHABLE
+        assert len(full.witness) == len(oracle.witness) == 5
+        assert replay(DETOUR, Q_T, full.witness)
+        assert sum(found for _, found, _ in lookups) > 0
+        caps = [
+            SearchLimits(max_states, max_depth)
+            for max_states in (None, *range(1, full.states_explored + 2))
+            for max_depth in (None, *range(1, 7))
+        ]
+        assert_matches_reference(DETOUR, Q_T, caps)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_every_queued_state_obeys_the_lemma(self, cells, paired, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        monkeypatch.setattr(_engine, "PAIRED", paired)
+        searches = self.check_levels(monkeypatch)
+        for seed in range(0, 500, 5):
+            assert_matches_reference(*random_policy(seed), LIMITS[::5])
+        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
+        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
+        query = SafetyQuery("newUser", "AnyFour_1")
+        # TestEngine compares the uncapped search with the FIFO reference
+        verdict = reach(sliced, query, use_slicing=False)
+        assert (verdict.states_explored, len(verdict.witness)) == (14_407, 7)
+        assert_matches_reference(sliced, query, [SearchLimits(500, 7)])
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("FA-Clerk@1", "FA@2"):
+            query = SafetyQuery("newUser", target)
+            assert_matches_reference(slice_policy(bank, query), query, LIMITS[::3])
+        assert len(searches) > 300 and max(searches) >= 7
+
+    def test_bank_one_looks_up_at_most_half_its_children(self, monkeypatch):
+        """Looking every distinct child up among all visited keys takes
+        3,193,818 lookups on bank 1 q1, into 307,502 keys on average."""
+        lookups = self.count_lookups(monkeypatch)
+        policy, query = TestLevelChunks.bank_one()
+        verdict = reach(policy, query)
+        assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
+        looked = sum(keys for keys, _, _ in lookups)
+        assert looked <= 3_193_818 // 2
+        # a lookup searches only the keys of its parity's levels
+        assert sum(keys * known for keys, _, known in lookups) <= 200_000 * looked
+
+    def test_a_wide_witness_search_looks_up_a_tenth_of_its_children(self, monkeypatch):
+        """Bank 3 with branch 1's clerk rule weakened: looking every
+        distinct child up among all visited keys takes 575,709 lookups."""
+        lookups = self.count_lookups(monkeypatch)
+        bank = mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
+        query = SafetyQuery("newUser", "TargetQ1")
+        verdict = reach(bank, query)
+        assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
+        assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
+        assert sum(keys for keys, _, _ in lookups) <= 575_709 // 10
+
+
 class TestOracle:
     def test_matches_reach_on_the_chain(self):
         verdict = oracle_reach(CHAIN, Q_B)
