@@ -52,9 +52,10 @@ takes a merge of the chunks so far, made only when that bound exceeds
 the cap and has doubled since the last merge, so a level merges a
 logarithmic number of times, not once per chunk.
 
-Chunk lemma: expanding a chunk reads only the frontier, the visited
-keys, the program, the enable table and ``highs``, none of which
-changes during a level, so the chunks of a level are independent work.
+Chunk lemma: expanding a chunk reads only the frontier and its cells,
+the visited keys, the program, the enable table, ``keep`` and
+``highs``, none of which changes during a level, so the chunks of a
+level are independent work.
 Taking their results in chunk order lists the children exactly as one
 pass over the frontier would, so the ordering lemma holds however the
 chunks are expanded. With two CPUs, one worker thread expands every
@@ -80,6 +81,24 @@ unvisited and is not looked up. A child is tight exactly when its
 parent is tight and its action moves away, so a bool per queued state
 carries the flag from level to level. Neither rule changes which
 children are kept, only which keys are searched.
+
+Sleep lemma: an action's effect is the tested bits that flipping its
+target can change (its role bit and the authorization bits the target
+sets), and its test is the tested bits its test rows read. Actions a
+and b depend on each other when one's effect meets the other's test;
+two actions on one role always do. Let state q be first queued by
+action b from parent p, and let a < b be independent of b and enabled
+at q. Then a is enabled at p, so p ^ flip[a], generated at (p, a) before
+(p, b), is queued before q or visited. And b is enabled at p ^ flip[a],
+so the cell (p ^ flip[a], b) generates q ^ flip[a] before (q, a) does.
+So no cell (q, a) of that kind is the first occurrence of its child,
+and dropping all of them leaves the queue, its cells and its tight
+flags as they are. From
+the level that builds the enable table on, each state's enabled bitset
+is ANDed with ``keep[b]``: the actions a >= b, or dependent on b, where
+b is the action of the state's cell (every action for the initial
+state). Earlier levels drop nothing, which the lemma allows, as it
+holds for any subset of the cells it drops.
 
 A state's sort key is its one word, or for wider states its words
 stored big-endian and compared as raw bytes, whose ``memcmp`` order is
@@ -186,9 +205,66 @@ def _enable_table(program: Program) -> EnableTable:
     return EnableTable(at, rows)
 
 
-def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> np.ndarray:
+def _positions(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the position (bit p % 64 of word p // 64) of every set
+    bit of the (n, T) uint64 ``rows``, in row order."""
+    octets = rows.astype("<u8", copy=False).view(np.uint8)
+    row, byte = np.nonzero(octets)
+    bits = np.unpackbits(octets[row, byte][:, None], axis=1, bitorder="little")
+    at, bit = np.nonzero(bits)
+    return row[at], byte[at] * 8 + bit
+
+
+def _keep(program: Program) -> np.ndarray:
+    """(A + 1, ceil(A / 64)) uint64 bitsets: row b holds the actions that
+    a state first queued by action b may take without the sleep lemma
+    dropping them, every a >= b and every a dependent on b; row A, for
+    the initial state, holds every action."""
+    n_act, n_bits = len(program.flip), 64 * len(program.test)
+    width = -(-n_act // 64)
+    # each action's effect: its role bit, and the authorization bits that
+    # its target sets when held (its grantor's closure row)
+    effect = np.zeros((n_act, len(program.test)), np.uint64)
+    effect[:, : program.flip.shape[1]] = program.flip
+    word, shift = program.grantors
+    grantor = np.full(n_bits, -1)
+    grantor[word * 64 + shift.astype(np.intp)] = np.arange(len(word))
+    grantor = grantor[_positions(program.flip)[1]]  # one bit per action
+    effect[grantor >= 0] |= program.closure[grantor[grantor >= 0]]
+    # per tested bit, the actions whose effect holds it and those whose
+    # test does, as lists and as bitsets
+    pairs = _positions(effect), _positions(np.ascontiguousarray(program.test.T))
+    del effect
+    lists = [_by_bit(actions, bits, n_bits) for actions, bits in pairs]
+    sets = [set_bits((n_bits, width), bits * 64 * width + actions) for actions, bits in pairs]
+    del pairs
+    keep = np.zeros((n_act + 1, width), np.uint64)
+    ones = ~np.uint64(0)
+    from_bit = ones << np.arange(64, dtype=np.uint64)
+    for w in range(width):  # every a >= b, for 64 rows b at a time
+        block = keep[64 * w : 64 * w + 64]
+        block[:, w] = from_bit[: len(block)]
+        block[:, w + 1 :] = ones
+    keep[n_act] = ones
+    # a bit in one action's effect and another's test makes them dependent
+    for bit in np.flatnonzero(sets[0].any(axis=1) & sets[1].any(axis=1)):
+        keep[lists[0][bit]] |= sets[1][bit]
+        keep[lists[1][bit]] |= sets[0][bit]
+    return keep
+
+
+def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int) -> list[np.ndarray]:
+    """``actions`` split by their ``bits``, one array per bit."""
+    order = np.argsort(bits, kind="stable")
+    return np.split(actions[order], np.bincount(bits, minlength=n_bits).cumsum()[:-1])
+
+
+def _enabled(program: Program, words: np.ndarray, table: EnableTable | None,
+             keep: np.ndarray | None = None) -> np.ndarray:
     """(len(words), A) bool: the actions the tested ``words`` allow,
-    looked up in ``table`` or, without one, tested by broadcast."""
+    looked up in ``table`` or, without one, tested by broadcast. With a
+    table, ``keep`` holds one bitset per row of actions to keep (see the
+    sleep lemma)."""
     test, need = program.test, program.need
     if table is None:
         ok = (words[:, :1] & test[0]) == need[0]
@@ -200,6 +276,8 @@ def _enabled(program: Program, words: np.ndarray, table: EnableTable | None) -> 
     bits = table.rows[0][values[:, 0]]
     for p in range(1, len(table.at)):
         bits &= table.rows[p][values[:, p]]
+    if keep is not None:
+        bits &= keep
     # nonzero runs faster on a bool array than on a uint8 one
     ok = np.unpackbits(bits.view(np.uint8), axis=1, count=test.shape[1], bitorder="little")
     return ok.view(np.bool_)
@@ -270,8 +348,9 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, known: np.ndarray,
-            away: np.ndarray, n_act: int, highs: list[int], table: EnableTable | None,
+def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray,
+            came: np.ndarray | None, known: np.ndarray, away: np.ndarray, n_act: int,
+            highs: list[int], table: EnableTable | None, keep: np.ndarray | None,
             room: int | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
@@ -281,12 +360,16 @@ def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, known: np
     init, and ``known`` holds the sorted keys of the visited levels of
     the children's parity (see the distance lemma). Chunks stop at a
     goal state, or once more than ``room`` (None: no cap) states are
-    queued."""
+    queued. ``came`` holds the frontier's cells (None for the initial
+    state), whose actions pick its rows of ``keep``."""
     rows = max(1, CELLS // n_act)
 
     def expand(lo: int):
         chunk = frontier[lo : lo + rows]
-        ok = _enabled(program, _tested_words(program, chunk), table)
+        after = None
+        if keep is not None:
+            after = keep[n_act:] if came is None else keep[came[lo : lo + rows] % n_act]
+        ok = _enabled(program, _tested_words(program, chunk), table, after)
         cells = ok.ravel().nonzero()[0]
         del ok  # CELLS bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
@@ -398,11 +481,11 @@ def search(
     # a state holds only initial and flipped bits
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
     highs = [int(word).bit_length() for word in held]
-    table = None  # built when a level first fills a chunk
+    table = keep = None  # built when a level first fills a chunk
     # whether each action moves its bit away from init: its target test
     # (need, on the state words) reads init's bit there
     away = ~((program.need[: len(program.init)].T ^ program.init) & program.flip).any(axis=1)
-    frontier = program.init[None, :]
+    frontier, cells = program.init[None, :], None
     tight = np.ones(1, np.bool_)
     # the sorted keys of the visited even levels, and of the odd ones
     visited = [_keys(frontier), _keys(frontier[:0])]
@@ -422,11 +505,12 @@ def search(
         if popped < n:
             return SearchResult(None, max_states, True)
         if table is None and n * n_act >= CELLS:
-            table = _enable_table(program)
+            table, keep = _enable_table(program), _keep(program)
         room = None if max_states is None else max_states - offset - n
         parity = (depth + 1) % 2
         frontier, cells, tight, keys, hit = _expand(
-            program, frontier, tight, visited[parity], away, n_act, highs, table, room
+            program, frontier, tight, cells, visited[parity], away, n_act, highs, table,
+            keep, room,
         )
         if depth == max_depth or not len(keys):
             return SearchResult(None, offset + n, bool(len(keys)))

@@ -1,11 +1,12 @@
 """Shared test fixtures: seeded random policy corpus, the single-division
 micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
-match exactly, a per-query slice derivation that the indexed slicing
-must match exactly, a per-role closure walk that the hierarchy's
-closure table must match exactly, one loop per section that validation
-must match exactly, and a char-by-char parser that the regex scanner
-must match exactly."""
+match exactly, a pairwise build of the sleep lemma's keep table that
+the engine's must match exactly, a per-query slice derivation that the
+indexed slicing must match exactly, a per-role closure walk that the
+hierarchy's closure table must match exactly, one loop per section that
+validation must match exactly, and a char-by-char parser that the regex
+scanner must match exactly."""
 
 from __future__ import annotations
 
@@ -205,6 +206,35 @@ def _python_masks(policy: Policy, query: SafetyQuery):
         closures = reference_closures(policy.hierarchy)
         closure = [mask(closures.get(r, (r,))) for r in policy.roles]
     return actions, closure, mask(policy.initial_roles(query.user)), index[query.target]
+
+
+def reference_keep(
+    policy: Policy, query: SafetyQuery, one_way: bool = False, later: bool = False
+) -> list[list[bool]]:
+    """The sleep lemma's keep table of the unsliced program, pair by pair
+    over Python-int masks: row b keeps action a when a >= b or when one's
+    effect (its target's role bit and the authorization of the roles the
+    target grants) meets the other's test (its target's role bit and the
+    authorization of its literals); row A keeps every action. Two unsound
+    variants: ``one_way`` keeps only the a whose test meets b's effect,
+    and ``later`` keeps a <= b instead of a >= b."""
+    actions, closure, _, _ = _python_masks(policy, query)
+    tests = [(tbit, pos | neg) for _, pos, neg, tbit in actions]
+    effects = [
+        (tbit, closure[tbit.bit_length() - 1] if closure else tbit)
+        for _, _, _, tbit in actions
+    ]
+
+    def reads(a: int, b: int) -> bool:  # a's test meets b's effect
+        return any(t & e for t, e in zip(tests[a], effects[b]))
+
+    n = len(actions)
+    rows = [
+        [(a <= b if later else a >= b) or reads(a, b) or (not one_way and reads(b, a))
+         for a in range(n)]
+        for b in range(n)
+    ]
+    return rows + [[True] * n]
 
 
 def run_python(init, n_roles, actions, closure, target_idx, max_states, max_depth):

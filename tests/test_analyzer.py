@@ -45,6 +45,7 @@ from helpers import (
     mutate_bank,
     random_policy,
     reference_closures,
+    reference_keep,
     reference_slice,
     single_division_policy,
     widen,
@@ -691,9 +692,9 @@ class TestLevelChunks:
         chunks, levels = [], []
         enabled, expand = _engine._enabled, _engine._expand
 
-        def counted_enabled(program, words, table):
+        def counted_enabled(program, words, *rest):
             chunks.append(len(words))
-            return enabled(program, words, table)
+            return enabled(program, words, *rest)
 
         def counted_expand(program, frontier, *args):
             before = len(chunks)
@@ -824,7 +825,7 @@ class TestLevelChunks:
         running, most, workers = set(), [0], set()
         enabled, expand = _engine._enabled, _engine._expand
 
-        def watched_enabled(program, words, table):
+        def watched_enabled(program, words, *rest):
             me = threading.get_ident()
             with lock:
                 running.add(me)
@@ -832,7 +833,7 @@ class TestLevelChunks:
                 if threading.current_thread() is not threading.main_thread():
                     workers.add(me)
             try:
-                return enabled(program, words, table)
+                return enabled(program, words, *rest)
             finally:
                 with lock:
                     running.discard(me)
@@ -861,13 +862,13 @@ class TestLevelChunks:
         handed = self.record_worker(monkeypatch)
         enabled = _engine._enabled
 
-        def failing(program, words, table):
+        def failing(program, words, *rest):
             on_main = threading.current_thread() is threading.main_thread()
             if on_main == (failing_thread == "main") and handed:
                 raise ChunkFailed
             if not on_main:
                 time.sleep(0.05)  # still busy when this thread fails
-            return enabled(program, words, table)
+            return enabled(program, words, *rest)
 
         policy = single_division_policy()
         with monkeypatch.context() as patched:
@@ -1049,6 +1050,167 @@ class TestDistanceLemma:
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
         assert sum(keys for keys, _, _ in lookups) <= 575_709 // 10
+
+
+def packed(rows) -> np.ndarray:
+    """Bool rows as the engine's uint64 bitsets, action a at bit a % 64
+    of word a // 64."""
+    rows = np.array(rows, np.bool_)
+    pad = np.zeros((len(rows), -rows.shape[1] % 64), np.bool_)
+    bits = np.packbits(np.hstack([rows, pad]), axis=1, bitorder="little")
+    return np.ascontiguousarray(bits).view("<u8").astype(np.uint64)
+
+
+def unpacked(keep: np.ndarray, n_act: int) -> np.ndarray:
+    """The first ``n_act`` bits of each of the uint64 bitset rows."""
+    octets = keep.astype("<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n_act, bitorder="little").view(np.bool_)
+
+
+class TestSleepLemma:
+    """A state first queued by action b skips each action a < b that
+    commutes with b; the result stays that of the FIFO search."""
+
+    @staticmethod
+    def corpus():
+        instances = [random_policy(seed) for seed in range(500)]
+        instances += [widen(*random_policy(seed), extra=130) for seed in range(0, 500, 25)]
+        return instances
+
+    def test_keep_matches_the_pairwise_build(self):
+        """On every corpus program (flat, hierarchical and three words
+        wide) and on hierarchical bank 2, whose 64-action words the
+        a >= b triangle crosses."""
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        instances = self.corpus() + [(bank, SafetyQuery("newUser", "FA-Clerk@1"))]
+        hierarchical = wide = 0
+        for policy, query in instances:
+            program = _compile_masks(policy, query, *whole(policy))
+            n_act = len(program.flip)
+            if not n_act:
+                continue
+            hierarchical += len(program.closure) > 0
+            wide += len(program.init) > 1
+            keep = _engine._keep(program)
+            assert keep.shape == (n_act + 1, -(-n_act // 64))
+            expected = np.array(reference_keep(policy, query), np.bool_)
+            assert np.array_equal(unpacked(keep, n_act), expected)
+        assert len(bank.ca) + len(bank.cr) > 128
+        assert hierarchical > 100 and wide >= 20
+
+    def test_pruned_pairs_commute(self):
+        """Wherever b then a can run, so can a then b, for every pair
+        (b, a) that keep drops, on random states of every corpus program
+        and cone."""
+        rng = np.random.default_rng(1)
+        checked = 0
+        for policy, query in self.corpus()[::2]:
+            for cone in (whole(policy), _cone(policy, query)):
+                program = _compile_masks(policy, query, *cone)
+                n_act = len(program.flip)
+                if not n_act:
+                    continue
+                dropped = ~unpacked(_engine._keep(program), n_act)[:n_act]
+                if not dropped.any():
+                    continue
+                states = rng.integers(0, 2**64, size=(100, len(program.init)), dtype=np.uint64)
+
+                def enabled(states):
+                    return _engine._enabled(program, _engine._tested_words(program, states), None)
+
+                at_p = enabled(states)
+                after = [enabled(states ^ program.flip[x]) for x in range(n_act)]
+                for b, a in zip(*np.nonzero(dropped)):
+                    both = at_p[:, b] & after[b][:, a]
+                    assert (at_p[both, a] & after[a][both, b]).all(), (b, a)
+                    checked += int(both.sum())
+        assert checked > 1000
+
+    @pytest.mark.parametrize(
+        "mutant", [{"one_way": True}, {"later": True}], ids=["one-way", "later"]
+    )
+    def test_an_unsound_keep_changes_some_search(self, mutant, monkeypatch):
+        """A keep table that ignores one direction of the dependency, or
+        that drops the later actions instead of the earlier ones, makes
+        some corpus search differ from the FIFO reference; the pairwise
+        table itself changes none."""
+        monkeypatch.setattr(_engine, "CELLS", 4)
+        differs = []
+        for seed in range(500):
+            policy, query = random_policy(seed)
+            expected = fifo_reach(policy, query)
+            for variant in ({}, mutant):
+                keep = packed(reference_keep(policy, query, **variant))
+                monkeypatch.setattr(_engine, "_keep", lambda program: keep)
+                if reach(policy, query, use_slicing=False) != expected:
+                    assert variant, seed
+                    differs.append(seed)
+        assert differs
+
+    def test_keep_is_built_with_the_enable_table(self, monkeypatch):
+        built = []
+        for name in ("_keep", "_enable_table"):
+            real = getattr(_engine, name)
+            monkeypatch.setattr(
+                _engine, name, lambda program, real=real, name=name: built.append(name) or real(program)
+            )
+        for seed in range(0, 500, 10):
+            reach(*random_policy(seed))
+        assert built == []
+        policy, query = TestLevelChunks.bank_one()
+        reach(policy, query)
+        assert sorted(built) == ["_enable_table", "_keep"]
+
+    @staticmethod
+    def generated(monkeypatch) -> list[int]:
+        """The (state, action) cells each ``_enabled`` call lets through."""
+        monkeypatch.setattr(_engine, "PAIRED", False)
+        cells = []
+        enabled = _engine._enabled
+
+        def counted(*args):
+            ok = enabled(*args)
+            cells.append(int(ok.sum()))
+            return ok
+
+        monkeypatch.setattr(_engine, "_enabled", counted)
+        return cells
+
+    def test_bank_one_generates_at_most_two_thirds_of_its_cells(self, monkeypatch):
+        """Without the lemma, bank 1 q1 generates 8,739,253 children."""
+        cells = self.generated(monkeypatch)
+        policy, query = TestLevelChunks.bank_one()
+        verdict = reach(policy, query)
+        assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
+        assert sum(cells) <= 0.65 * 8_739_253
+
+    def test_a_wide_witness_search_generates_under_half_its_cells(self, monkeypatch):
+        """Bank 3 with branch 1's clerk rule weakened generates 1,229,636
+        children without the lemma."""
+        cells = self.generated(monkeypatch)
+        bank = mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
+        query = SafetyQuery("newUser", "TargetQ1")
+        verdict = reach(bank, query)
+        assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
+        assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
+        assert sum(cells) <= 0.45 * 1_229_636
+
+    def test_keep_builds_in_little_more_than_its_size(self):
+        """The unsliced hierarchical bank-18 program (5,185 actions, 594
+        roles) builds keep from per-bit bitsets, without an (A, A) array
+        or the tested words of all its flips."""
+        policy = generate_bank(
+            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+        )
+        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
+        tracemalloc.start()
+        try:
+            keep = _engine._keep(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keep.shape == (5186, 82)
+        assert peak < 2 * keep.nbytes
 
 
 class TestOracle:
