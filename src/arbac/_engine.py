@@ -52,10 +52,10 @@ takes a merge of the chunks so far, made only when that bound exceeds
 the cap and has doubled since the last merge, so a level merges a
 logarithmic number of times, not once per chunk.
 
-Chunk lemma: expanding a chunk reads only the frontier and its cells,
-the visited keys, the program, the enable table, ``keep`` and
-``highs``, none of which changes during a level, so the chunks of a
-level are independent work.
+Chunk lemma: expanding a chunk reads only the frontier, its cells and
+flags, the visited keys, the program, the enable table, ``keep``,
+``bars`` and ``highs``, none of which changes during a level, so the
+chunks of a level are independent work.
 Taking their results in chunk order lists the children exactly as one
 pass over the frontier would, so the ordering lemma holds however the
 chunks are expanded. With two CPUs, one worker thread expands every
@@ -99,6 +99,35 @@ is ANDed with ``keep[b]``: the actions a >= b, or dependent on b, where
 b is the action of the state's cell (every action for the initial
 state). Earlier levels drop nothing, which the lemma allows, as it
 holds for any subset of the cells it drops.
+
+Undo lemma: call an action back when it moves its bit toward ``init``,
+and let U hold the bits some back action flips. G[b] holds b's own bit
+and every bit x that can be restored to its initial value while b, or a
+sibling of b, stays enabled. Restoring x clears only bits of its effect
+(as in the sleep lemma) if x starts absent, and sets only such bits if
+it starts held; so b stays enabled when x's effect misses the bits b
+needs held, or those it needs clear, respectively. A sibling of b is an
+action with b's flip and test rows whose need row is b's with x's bit at
+its initial value; when x grants no other role and no other role grants
+it, restoring x changes only that bit, so the sibling stays enabled. The
+initial state is free, and a state q first queued by (p, b) is free when
+p is free and every bit of U in which q differs from ``init`` lies in
+G[b]. Claim: if q is free at level d and x is such a bit, then q with x
+restored is reachable in d - 1 steps. If x is b's bit, that state is p.
+Otherwise p differs from ``init`` in x, so by induction p with x
+restored is reachable in d - 2 steps, where x in G[b] lets b or its
+sibling take it to q with x restored. A back action enabled at q
+restores a bit of U in which q differs from ``init``, so its child was
+queued at an earlier level, all of which are whole: a free state
+takes only its away actions, which are ANDed into its ``keep`` row, and
+every free state is tight. Only cells with visited children are dropped,
+so the queue, its cells and its flags stay those of the FIFO search.
+``bars[b]`` holds U less G[b]. The level that builds the enable table
+flags its states by checking each along its path of first-queuing cells
+(``_free``); after it, a queued child of a free parent is free when
+``child ^ init`` misses ``bars[b]``. Earlier levels flag no state free
+and drop nothing, which the lemma allows, and small searches never pay
+for G.
 
 A state's sort key is its one word, or for wider states its words
 stored big-endian and compared as raw bytes, whose ``memcmp`` order is
@@ -259,12 +288,53 @@ def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int) -> list[np.ndarr
     return np.split(actions[order], np.bincount(bits, minlength=n_bits).cumsum()[:-1])
 
 
+def _undo(program: Program) -> np.ndarray:
+    """(A, W) uint64: row b is the undo lemma's G[b], b's own bit and
+    every bit x that can be restored to its initial value while b, or a
+    sibling of b, stays enabled."""
+    n_act, width = program.flip.shape
+    test, need = program.test.T, program.need.T  # (A, T)
+    # the role bits b needs away from their initial value: for a role that
+    # sets no authorization bit, its whole effect meets b's test there
+    bad = np.ascontiguousarray(test[:, :width] & (need[:, :width] ^ program.init))
+    word, shift = program.grantors
+    at = word * 64 + shift.astype(np.intp)
+    if len(at):
+        # a grantor's effect also holds its closure row: restoring it
+        # clears those bits if it starts absent, so b must need none held,
+        # and sets them if it starts held, so b must need none clear
+        k, bit = _positions(program.closure)
+        starts_held = ((program.init[word[k]] >> shift[k]) & 1).astype(np.bool_)
+        for held, needs in ((False, need), (True, test & ~need)):
+            # per tested bit, the grantors with that initial value holding it
+            pick = starts_held == held
+            holders = set_bits((64 * len(program.test), width),
+                               bit[pick] * 64 * width + at[k[pick]])
+            b, bit_b = _positions(np.ascontiguousarray(needs))
+            if len(b):
+                starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+                bad[b[starts]] |= np.bitwise_or.reduceat(holders[bit_b], starts, axis=0)
+    undo = ~bad | program.flip
+    # a sibling has b's flip and test rows and b's need row with x's bit at
+    # its initial value; x sets no authorization bit and has none
+    b, x = _positions(bad & ~set_bits((width,), at) & ~program.flip)
+    if len(b):
+        rows = np.ascontiguousarray(np.hstack((program.flip, test, need)))
+        sibling = rows[b]
+        sibling[np.arange(len(b)), width + len(program.test) + x // 64] ^= (
+            np.uint64(1) << (x % 64).astype(np.uint64)
+        )
+        found = ~_absent(np.sort(_keys(rows)), _keys(sibling))
+        undo |= set_bits(undo.shape, b[found] * 64 * width + x[found])
+    return undo
+
+
 def _enabled(program: Program, words: np.ndarray, table: EnableTable | None,
              keep: np.ndarray | None = None) -> np.ndarray:
     """(len(words), A) bool: the actions the tested ``words`` allow,
     looked up in ``table`` or, without one, tested by broadcast. With a
     table, ``keep`` holds one bitset per row of actions to keep (see the
-    sleep lemma)."""
+    sleep and undo lemmas)."""
     test, need = program.test, program.need
     if table is None:
         ok = (words[:, :1] & test[0]) == need[0]
@@ -348,30 +418,35 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray,
+def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, free: np.ndarray,
             came: np.ndarray | None, known: np.ndarray, away: np.ndarray, n_act: int,
             highs: list[int], table: EnableTable | None, keep: np.ndarray | None,
-            room: int | None):
+            bars: np.ndarray | None, room: int | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
-    first occurrence and its tight flag; their keys in sorted order; and
-    whether one of them meets the goal. ``tight`` flags the frontier's
-    tight states, ``away`` the actions that move their bit away from
-    init, and ``known`` holds the sorted keys of the visited levels of
-    the children's parity (see the distance lemma). Chunks stop at a
-    goal state, or once more than ``room`` (None: no cap) states are
-    queued. ``came`` holds the frontier's cells (None for the initial
-    state), whose actions pick its rows of ``keep``."""
+    first occurrence and its tight and free flags; their keys in sorted
+    order; and whether one of them meets the goal. ``tight`` and
+    ``free`` flag the frontier's tight and free states, ``away`` the
+    actions that move their bit away from init, and ``known`` holds the
+    sorted keys of the visited levels of the children's parity (see the
+    distance lemma). Chunks stop at a goal state, or once more than
+    ``room`` (None: no cap) states are queued. ``came`` holds the
+    frontier's cells (None for the initial state), whose actions pick its
+    rows of ``keep``. ``bars`` (see the undo lemma) comes with ``keep``;
+    without it no child is flagged free."""
     rows = max(1, CELLS // n_act)
+    if keep is not None:
+        away_bits = np.packbits(np.pad(away, (0, -n_act % 64)), bitorder="little").view(np.uint64)
 
     def expand(lo: int):
-        chunk = frontier[lo : lo + rows]
+        chunk, free_rows = frontier[lo : lo + rows], free[lo : lo + rows]
         after = None
         if keep is not None:
-            after = keep[n_act:] if came is None else keep[came[lo : lo + rows] % n_act]
+            after = keep[[n_act] if came is None else came[lo : lo + rows] % n_act]
+            after[free_rows] &= away_bits  # a free state takes only its away actions
         ok = _enabled(program, _tested_words(program, chunk), table, after)
         cells = ok.ravel().nonzero()[0]
-        del ok  # CELLS bytes, freed before the children are built
+        del ok, after  # CELLS bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
         tight_children = tight[lo : lo + rows][parent] & away[action]
@@ -382,7 +457,14 @@ def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray,
         look = ~fresh
         fresh[look] = _absent(known, keys[look])
         queued = _queued(first[fresh], len(cells))
-        return children[queued], cells[queued] + lo * n_act, tight_children[queued], keys[fresh]
+        children, cells = children[queued], cells[queued]
+        if bars is None:
+            free_children = np.zeros(len(cells), np.bool_)
+        else:  # a child of a free parent whose distance from init misses bars[b]
+            parent, action = np.divmod(cells, n_act)
+            free_children = free_rows[parent]
+            free_children &= ~((children ^ program.init) & bars[action]).any(axis=1)
+        return children, cells + lo * n_act, tight_children[queued], free_children, keys[fresh]
 
     starts = range(0, len(frontier), rows)
     if len(starts) > 1 and PAIRED:
@@ -419,8 +501,8 @@ def _in_pairs(expand, starts: range):
 
 def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
     """The level that the expanded ``chunks``, taken in order, queue: its
-    children, cells and tight flags, their sorted keys and whether one
-    meets the goal (see ``_expand``)."""
+    children, cells, tight and free flags, their sorted keys and whether
+    one meets the goal (see ``_expand``)."""
     parts, count, merged = [], 0, ()
     for *columns, keys in chunks:
         parts.append(columns)
@@ -452,7 +534,7 @@ def _absent(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _merge(parts: list, highs: list[int]):
-    """The children, cells and tight flags of the chunk results
+    """The children, cells, tight and free flags of the chunk results
     ``parts``, which it empties, and the children's sorted keys: a child
     found in several chunks keeps its earliest chunk's occurrence."""
     columns = [np.concatenate(column) for column in zip(*parts)]
@@ -460,6 +542,21 @@ def _merge(parts: list, highs: list[int]):
     first, keys = _distinct(columns[0], highs)
     queued = _queued(first, len(columns[0]))
     return (*(column[queued] for column in columns), keys)
+
+
+def _free(program: Program, frontier: np.ndarray, cell: np.ndarray, bars: np.ndarray,
+          n_act: int) -> np.ndarray:
+    """The undo lemma's free flags of ``frontier``, the last level that
+    ``cell`` (parent * A + action per queue position) holds, checked
+    along each state's path back to the initial state."""
+    at = np.arange(len(cell) - len(frontier), len(cell))
+    apart = frontier ^ program.init  # where each path's state differs from init
+    free = np.ones(len(frontier), np.bool_)
+    while at.any():  # every state of one level reaches position 0 at once
+        at, action = np.divmod(cell[at], n_act)
+        free &= ~(apart & bars[action]).any(axis=1)
+        apart ^= program.flip[action]
+    return free
 
 
 def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
@@ -481,12 +578,13 @@ def search(
     # a state holds only initial and flipped bits
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
     highs = [int(word).bit_length() for word in held]
-    table = keep = None  # built when a level first fills a chunk
+    table = keep = bars = None  # built when a level first fills a chunk
     # whether each action moves its bit away from init: its target test
     # (need, on the state words) reads init's bit there
     away = ~((program.need[: len(program.init)].T ^ program.init) & program.flip).any(axis=1)
     frontier, cells = program.init[None, :], None
     tight = np.ones(1, np.bool_)
+    free = np.zeros(1, np.bool_)  # no state is flagged before the enable table
     # the sorted keys of the visited even levels, and of the odd ones
     visited = [_keys(frontier), _keys(frontier[:0])]
     hit = bool((program.init & program.goal).any())
@@ -504,19 +602,25 @@ def search(
                 return SearchResult(witness, found + 1, False)
         if popped < n:
             return SearchResult(None, max_states, True)
-        if table is None and n * n_act >= CELLS:
-            table, keep = _enable_table(program), _keep(program)
         room = None if max_states is None else max_states - offset - n
         parity = (depth + 1) % 2
-        frontier, cells, tight, keys, hit = _expand(
-            program, frontier, tight, cells, visited[parity], away, n_act, highs, table,
-            keep, room,
-        )
-        if depth == max_depth or not len(keys):
-            return SearchResult(None, offset + n, bool(len(keys)))
-        # a stable sort of two sorted runs is one linear merge, in place
-        visited[parity] = np.concatenate((visited[parity], keys))
-        visited[parity].sort(kind="stable")
-        cells_seen.append(cells + offset * n_act)
+        try:
+            if table is None and n * n_act >= CELLS:
+                table, keep = _enable_table(program), _keep(program)
+                # the bits some back action flips that G[b] lacks
+                bars = np.bitwise_or.reduce(program.flip[~away], axis=0) & ~_undo(program)
+                free = _free(program, frontier, np.concatenate(cells_seen), bars, n_act)
+            frontier, cells, tight, free, keys, hit = _expand(
+                program, frontier, tight, free, cells, visited[parity], away, n_act, highs,
+                table, keep, bars, room,
+            )
+            if depth == max_depth or not len(keys):
+                return SearchResult(None, offset + n, bool(len(keys)))
+            # a stable sort of two sorted runs is one linear merge, in place
+            visited[parity] = np.concatenate((visited[parity], keys))
+            visited[parity].sort(kind="stable")
+            cells_seen.append(cells + offset * n_act)
+        except MemoryError:  # the level is dropped: what was popped stands
+            return SearchResult(None, offset + n, True)
         offset += n
         depth += 1

@@ -130,6 +130,10 @@ def _report_human(v: "Verdict", query: SafetyQuery, wall_time_ms: int) -> None:
 
 
 def cmd_check(args) -> int:
+    if "numpy" not in sys.modules:
+        # arbac calls no BLAS routine, and when numpy loads OpenBLAS would
+        # start a spinning worker thread for each CPU beyond the first
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .analyzer import InvalidQuery, SearchLimits, reach
 
     policy = _load_policy(args.policy)

@@ -1,9 +1,9 @@
 """Shared test fixtures: seeded random policy corpus, the single-division
 micro policy, the clerk-rule mutation used by the detection tests, a
 one-state-at-a-time FIFO search that the level-synchronous engine must
-match exactly, a pairwise build of the sleep lemma's keep table that
-the engine's must match exactly, a per-query slice derivation that the
-indexed slicing must match exactly, a per-role closure walk that the
+match exactly, pairwise builds of the sleep lemma's keep table and of
+the undo lemma's G table that the engine's must match exactly, a
+per-query slice derivation that the indexed slicing must match exactly, a per-role closure walk that the
 hierarchy's closure table must match exactly, one loop per section that
 validation must match exactly, and a char-by-char parser that the regex
 scanner must match exactly."""
@@ -235,6 +235,55 @@ def reference_keep(
         for b in range(n)
     ]
     return rows + [[True] * n]
+
+
+def reference_undo(policy: Policy, query: SafetyQuery, every: bool = False, loose: bool = False):
+    """The undo lemma's G table of the unsliced program, pair by pair over
+    Python-int masks, and its free flag. Row b holds b's target bit and
+    every role x that b, or a sibling of b, leaves enabled when x returns
+    to its initial value: b does when x's closure misses b's positive
+    literals, if x starts absent, or its negative ones, if x starts held.
+    A sibling is an action with b's kind, target and tested roles that
+    needs x at its initial value and otherwise what b needs; it counts
+    only for an x that no other role grants and that grants no other
+    role. Returns (G, free), where ``free(parent_free, child, b)`` is the
+    flag of a state ``child`` first queued by action b from a parent with
+    flag ``parent_free``: the bits in which it differs from init and that
+    some back action flips must lie in G[b]. Two unsound variants:
+    ``every`` puts every role in every row, and ``loose`` takes any
+    action with b's kind, target and tested roles as a sibling, b itself
+    included."""
+    actions, closure, init, _ = _python_masks(policy, query)
+    n = len(policy.roles)
+    closure = closure or [1 << x for x in range(n)]
+    granted = 0  # the roles some other role grants
+    for x in range(n):
+        granted |= closure[x] & ~(1 << x)
+    rows = {  # (target, tested roles, needed roles) of every action
+        (tbit, tbit | pos | neg, pos | (0 if is_assign else tbit))
+        for is_assign, pos, neg, tbit in actions
+    }
+    back = 0
+    for is_assign, _, _, tbit in actions:
+        if is_assign == bool(init & tbit):  # it moves its role toward init
+            back |= tbit
+    table = []
+    for is_assign, pos, neg, tbit in actions:
+        test, need = tbit | pos | neg, pos | (0 if is_assign else tbit)
+        row = tbit
+        for x in range(n):
+            bit = 1 << x
+            stays = not closure[x] & (neg if init & bit else pos)
+            plain = closure[x] == bit and not granted & bit
+            sibling = loose or (tbit, test, need & ~bit | init & bit) in rows
+            if every or stays or (plain and test & bit and sibling):
+                row |= bit
+        table.append(row)
+
+    def free(parent_free: bool, child: int, b: int) -> bool:
+        return parent_free and not (child ^ init) & back & ~table[b]
+
+    return table, free
 
 
 def run_python(init, n_roles, actions, closure, target_idx, max_states, max_depth):

@@ -47,6 +47,7 @@ from helpers import (
     reference_closures,
     reference_keep,
     reference_slice,
+    reference_undo,
     single_division_policy,
     widen,
 )
@@ -370,6 +371,23 @@ class TestLimits:
         verdict = reach(policy, Q_B, limits=SearchLimits(max_states=1000, max_depth=50))
         assert verdict.outcome is Outcome.UNREACHABLE
         assert verdict.exhausted is True
+
+    def test_running_out_of_memory_ends_unknown(self, monkeypatch):
+        """A level whose expansion runs out of memory is dropped: the
+        search stops with the states popped before it, levels 0-2."""
+        expand, calls = _engine._expand, []
+
+        def failing(*args):
+            calls.append(len(args[1]))
+            if len(calls) == 3:
+                raise MemoryError
+            return expand(*args)
+
+        monkeypatch.setattr(_engine, "_expand", failing)
+        policy, query = TestLevelChunks.bank_one()
+        verdict = reach(policy, query)
+        assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
+        assert calls == [1, 1, 4] and verdict.states_explored == 6
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_limits_must_be_positive(self, bad):
@@ -1148,8 +1166,9 @@ class TestSleepLemma:
         assert differs
 
     def test_keep_is_built_with_the_enable_table(self, monkeypatch):
+        """So is the undo lemma's G: small searches pay for neither."""
         built = []
-        for name in ("_keep", "_enable_table"):
+        for name in ("_keep", "_enable_table", "_undo"):
             real = getattr(_engine, name)
             monkeypatch.setattr(
                 _engine, name, lambda program, real=real, name=name: built.append(name) or real(program)
@@ -1159,7 +1178,7 @@ class TestSleepLemma:
         assert built == []
         policy, query = TestLevelChunks.bank_one()
         reach(policy, query)
-        assert sorted(built) == ["_enable_table", "_keep"]
+        assert sorted(built) == ["_enable_table", "_keep", "_undo"]
 
     @staticmethod
     def generated(monkeypatch) -> list[int]:
@@ -1211,6 +1230,177 @@ class TestSleepLemma:
             tracemalloc.stop()
         assert keep.shape == (5186, 82)
         assert peak < 2 * keep.nbytes
+
+
+# S, a senior, authorizes the junior J that the rule assigning B needs:
+# +S +B -S +T; revoking S from {S, B} reaches a new state
+SENIOR = mini(
+    ("S", "J", "B", "T"),
+    ca=[assign("S"), assign("B", pos=("J",)), assign("T", pos=("B",), neg=("S",))],
+    cr=[revoke("S")],
+    edges=[("S", "J")],
+)
+# X is held initially and revoked, and the rule assigning B needs it
+# absent: -X +B +X +T; assigning X again to {B} reaches a new state
+HELD = mini(
+    ("X", "B", "T"),
+    ca=[assign("X"), assign("B", neg=("X",)), assign("T", pos=("B", "X"))],
+    cr=[revoke("X")],
+    ua=[("u", "X")],
+)
+
+
+def as_int(row) -> int:
+    """A row of uint64 words as one Python int, word 0 lowest."""
+    return int.from_bytes(np.ascontiguousarray(row).astype("<u8").tobytes(), "little")
+
+
+class TestUndoLemma:
+    """A free state takes only the actions that move their bit away from
+    init; the result stays that of the FIFO search."""
+
+    @staticmethod
+    def check_flags(monkeypatch):
+        """Check the free flags of every level ``_expand`` reads against
+        ``reference_undo``'s rule carried from level 0: equal on levels
+        that have the enable table, all clear before. Set ``rule[0]`` to
+        the rule of the policy searched next; returns (rule, levels
+        checked with a table)."""
+        rule, checked, before = [None], [0], []
+        expand = _engine._expand
+
+        def checking(program, frontier, tight, free, came, known, away, n_act, highs, table,
+                     *rest):
+            states = [as_int(row) for row in frontier]
+            if came is None:
+                expected = [True]
+            else:
+                expected = [
+                    rule[0](before[int(cell) // n_act], state, int(cell) % n_act)
+                    for cell, state in zip(came, states)
+                ]
+            if table is None:
+                assert not free.any()
+            else:
+                assert free.tolist() == expected
+                checked[0] += 1
+            before[:] = expected
+            return expand(program, frontier, tight, free, came, known, away, n_act, highs, table,
+                          *rest)
+
+        monkeypatch.setattr(_engine, "_expand", checking)
+        return rule, checked
+
+    def test_g_matches_the_pairwise_build(self):
+        """On every corpus program (flat, hierarchical and three words
+        wide) and on unsliced bank 2: hierarchical, where every division
+        role is a grantor, and flat, where its SOP rule families supply
+        siblings to 400 actions."""
+        instances = TestSleepLemma.corpus() + [
+            (generate_bank(BankConfig(branches=2, hierarchy_mode=mode)),
+             SafetyQuery("newUser", "FA-Clerk@1"))
+            for mode in ("hierarchical", "flat")
+        ]
+        hierarchical = need_rows_matter = 0
+        for policy, query in instances:
+            program = _compile_masks(policy, query, *whole(policy))
+            if not len(program.flip):
+                continue
+            roles = (1 << len(policy.roles)) - 1
+            actual = [as_int(row) & roles for row in _engine._undo(program)]
+            expected, _ = reference_undo(policy, query)
+            assert actual == expected
+            hierarchical += len(program.closure) > 0
+            need_rows_matter += actual != reference_undo(policy, query, loose=True)[0]
+        assert hierarchical > 100 and need_rows_matter > 100
+
+    def test_g_builds_in_little_more_than_keeps_size(self):
+        """The unsliced hierarchical bank-18 program (5,185 actions, 594
+        roles in 10 words, 594 grantors) builds G from per-bit lists,
+        without an (A, K, T) array of actions, grantors and tested words."""
+        policy = generate_bank(
+            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+        )
+        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
+        tracemalloc.start()
+        try:
+            undo = _engine._undo(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert undo.shape == (5185, 10) and len(program.closure) == 594
+        assert peak < 2 * 5186 * 82 * 8  # twice the keep table
+        assert np.array_equal(undo & program.flip, program.flip)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_searches_and_flags_match_the_reference(self, cells, paired, monkeypatch):
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        monkeypatch.setattr(_engine, "PAIRED", paired)
+        rule, checked = self.check_flags(monkeypatch)
+        instances = TestSleepLemma.corpus()
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("FA-Clerk@1", "FA@2"):
+            query = SafetyQuery("newUser", target)
+            instances.append((slice_policy(bank, query), query))
+        for policy, query in instances + [(SENIOR, Q_T), (HELD, Q_T)]:
+            rule[0] = reference_undo(policy, query)[1]
+            assert_matches_reference(policy, query, LIMITS[::5])
+        assert checked[0] >= {4: 1000, 64: 10}.get(cells, 0)
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    @pytest.mark.parametrize("policy", [SENIOR, HELD], ids=["senior", "held"])
+    def test_a_state_that_restores_x_is_not_free(self, policy, cells, monkeypatch):
+        """The shortest witness restores x after a step that needs x
+        away from init, so the state before that step is not free."""
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        oracle = oracle_reach(policy, Q_T)
+        full = reach(policy, Q_T, use_slicing=False)
+        assert oracle.outcome is full.outcome is Outcome.REACHABLE
+        assert len(full.witness) == len(oracle.witness) == 4
+        assert replay(policy, Q_T, full.witness)
+        caps = [
+            SearchLimits(max_states, max_depth)
+            for max_states in (None, *range(1, full.states_explored + 2))
+            for max_depth in (None, *range(1, 5))
+        ]
+        assert_matches_reference(policy, Q_T, caps)
+
+    @pytest.mark.parametrize("mutant", ["every", "loose"])
+    def test_an_unsound_g_changes_some_search(self, mutant, monkeypatch):
+        """A G holding every role, or one that takes any action with b's
+        target and tested roles as a sibling, makes some corpus search
+        differ from the FIFO reference; the pairwise G itself changes
+        none."""
+        monkeypatch.setattr(_engine, "CELLS", 4)
+        differs = []
+        for seed in range(500):
+            policy, query = random_policy(seed)
+            expected = fifo_reach(policy, query)
+            for variant in ({}, {mutant: True}):
+                table, _ = reference_undo(policy, query, **variant)
+                words = len(_compile_masks(policy, query, *whole(policy)).init)
+                undo = np.array(
+                    [[row >> 64 * w & (2**64 - 1) for w in range(words)] for row in table],
+                    np.uint64,
+                ).reshape(len(table), words)
+                monkeypatch.setattr(_engine, "_undo", lambda program: undo)
+                if reach(policy, query, use_slicing=False) != expected:
+                    assert variant, seed
+                    differs.append(seed)
+        assert differs
+
+    def test_bank_one_generates_a_quarter_of_its_cells(self, monkeypatch):
+        """With the sleep lemma alone, bank 1 q1 generates 5,508,078
+        children and looks 1,564,276 of them up among the visited keys,
+        finding every one: each comes from a step back toward init."""
+        cells = TestSleepLemma.generated(monkeypatch)
+        lookups = TestDistanceLemma.count_lookups(monkeypatch)
+        policy, query = TestLevelChunks.bank_one()
+        verdict = reach(policy, query)
+        assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
+        assert sum(cells) <= 0.25 * 5_508_078
+        assert sum(keys for keys, _, _ in lookups) <= 0.01 * 1_564_276
 
 
 class TestOracle:

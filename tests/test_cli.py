@@ -35,6 +35,22 @@ ADMIN Admin ;
 SPEC u B ;
 """
 
+# three levels to expand before B is found
+LONG_CHAIN_TEXT = """\
+Roles Admin A B C ;
+Users u ;
+UA ;
+CR ;
+CA
+<Admin, TRUE, A>
+<Admin, A, C>
+<Admin, C, B>
+;
+RH ;
+ADMIN Admin ;
+SPEC u B ;
+"""
+
 UNREACHABLE_TEXT = """\
 Roles Admin A B ;
 Users u ;
@@ -151,6 +167,26 @@ class TestCheck:
         ]
         assert record["statesExplored"] == 3
         assert record["exhausted"] is False
+
+    def test_running_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        from arbac import _engine
+
+        expand, calls = _engine._expand, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError
+            return expand(*args)
+
+        monkeypatch.setattr(_engine, "_expand", failing)
+        path = write(tmp_path, LONG_CHAIN_TEXT)
+        assert main(["check", path, "--json"]) == 3
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert (record["verdict"], record["exhausted"], record["statesExplored"]) == (
+            "unknown", False, 3)
+        assert "Traceback" not in err and len(calls) == 3
 
     def test_human_report_keeps_stdout_clean(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN_TEXT)
@@ -445,6 +481,30 @@ class TestEntryPoints:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_check_starts_no_blas_thread(self, preset, tmp_path):
+        """numpy's OpenBLAS starts a worker thread per further CPU when it
+        loads, unless told one thread; a value the user set is kept."""
+        path = write(tmp_path, CHAIN_TEXT)
+        code = (
+            "import os\n"
+            "from arbac.cli import main\n"
+            f"assert main(['check', {path!r}]) == 2\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        tasks, setting = proc.stdout.split()
+        if preset is None:
+            assert tasks == "1"
+        assert setting == (preset or "1")
 
     def test_the_worker_pool_loads_only_with_a_wide_level(self):
         code = (
