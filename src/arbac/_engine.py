@@ -3,9 +3,9 @@
 A state is one row of ``W = ceil(roles / 64)`` uint64 words, bit ``i``
 standing for role ``i`` of the (already sliced) policy. Each BFS level
 is expanded at once in numpy. Per frontier chunk of about ``CELLS``
-(state, action) pairs, the actions each state enables form one boolean
-matrix, ``nonzero`` lists the enabled pairs, and the children are the
-parents with the action's target bit flipped. Sorting the children's
+(state, action) pairs, ``nonzero`` lists the enabled pairs (the cells,
+state * A + action), and the children are the parents with the
+action's target bit flipped. Sorting the children's
 keys keeps the first occurrence of each child, and ``searchsorted``
 into the sorted keys of visited states drops the visited ones (only
 where the distance lemma below lets a child be visited).
@@ -22,10 +22,11 @@ Byte lemma: ``&`` and ``==`` act bit by bit, so that test holds on
 every word exactly when it holds on every byte of the words. The enable
 table therefore holds, for each byte position some action tests, 256
 rows: row ``v`` is the bitset of the actions whose test on that byte
-passes for the value ``v``. Bytes no action tests pass every action. A
-state's enabled actions are the AND of the rows its tested bytes pick,
-P lookups of ``ceil(A / 64)`` words instead of A word tests per tested
-word. Building the table takes 256 P A cells, more than a whole small
+passes for the value ``v`` (the first position's rows clear the bits
+past A). Bytes no action tests pass every action. A state's enabled
+actions are the AND of the rows its tested bytes pick, P lookups of
+``ceil(A / 64)`` words instead of A word tests per tested word; only
+the nonzero words are unpacked into cells. Building the table takes 256 P A cells, more than a whole small
 search costs, so a search builds it once, at the first level whose
 broadcast would fill a chunk (``n * A >= CELLS``), and tests the levels
 before it by broadcast.
@@ -119,8 +120,8 @@ restored is reachable in d - 2 steps, where x in G[b] lets b or its
 sibling take it to q with x restored. A back action enabled at q
 restores a bit of U in which q differs from ``init``, so its child was
 queued at an earlier level, all of which are whole: a free state
-takes only its away actions, which are ANDed into its ``keep`` row, and
-every free state is tight. Only cells with visited children are dropped,
+takes only its away actions (``keep``'s second half), and every free
+state is tight. Only cells with visited children are dropped,
 so the queue, its cells and its flags stay those of the FIFO search.
 ``bars[b]`` holds U less G[b]. The level that builds the enable table
 flags its states by checking each along its path of first-queuing cells
@@ -220,8 +221,9 @@ class EnableTable(NamedTuple):
 
 def _enable_table(program: Program) -> EnableTable:
     # actions padded to whole words: a zero test and need pass every
-    # value, and _enabled unpacks only the first A bits
-    pad = ((0, 0), (0, -program.test.shape[1] % 64))
+    # value, so the first byte position's rows clear their bits
+    n_act = program.test.shape[1]
+    pad = ((0, 0), (0, -n_act % 64))
     test = np.ascontiguousarray(np.pad(program.test, pad).T).view(np.uint8).T  # (bytes, A)
     need = np.ascontiguousarray(np.pad(program.need, pad).T).view(np.uint8).T
     at = np.flatnonzero(test.any(axis=1))
@@ -231,6 +233,8 @@ def _enable_table(program: Program) -> EnableTable:
     for p in range(len(at)):  # one (256, A) bool block at a time
         ok = (value & test[p]) == need[p]
         rows[p] = np.packbits(ok, axis=1, bitorder="little").view(np.uint64)
+    if n_act % 64:
+        rows[0, :, -1] &= ~(~np.uint64(0) << np.uint64(n_act % 64))
     return EnableTable(at, rows)
 
 
@@ -282,6 +286,12 @@ def _keep(program: Program) -> np.ndarray:
     return keep
 
 
+def _doubled(keep: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """``keep`` over a copy of its rows ANDed with the ``away`` actions."""
+    bits = np.packbits(np.pad(away, (0, -len(away) % 64)), bitorder="little").view(np.uint64)
+    return np.concatenate((keep, keep & bits))
+
+
 def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int) -> list[np.ndarray]:
     """``actions`` split by their ``bits``, one array per bit."""
     order = np.argsort(bits, kind="stable")
@@ -331,26 +341,33 @@ def _undo(program: Program) -> np.ndarray:
 
 def _enabled(program: Program, words: np.ndarray, table: EnableTable | None,
              keep: np.ndarray | None = None) -> np.ndarray:
-    """(len(words), A) bool: the actions the tested ``words`` allow,
-    looked up in ``table`` or, without one, tested by broadcast. With a
-    table, ``keep`` holds one bitset per row of actions to keep (see the
-    sleep and undo lemmas)."""
+    """The cells (row * A + action) of the actions the tested ``words``
+    allow, in row-major order, looked up in ``table`` or, without one,
+    tested by broadcast. With a table, ``keep`` holds one bitset per row
+    of actions to keep (see the sleep and undo lemmas)."""
     test, need = program.test, program.need
     if table is None:
         ok = (words[:, :1] & test[0]) == need[0]
         for w in range(1, len(test)):
             ok &= (words[:, w : w + 1] & test[w]) == need[w]
-        return ok
+        return ok.ravel().nonzero()[0]
     # every action tests its target bit, so at least one byte is tested
     values = words.view(np.uint8)[:, table.at]
-    bits = table.rows[0][values[:, 0]]
+    bits = table.rows[0].take(values[:, 0], axis=0)
     for p in range(1, len(table.at)):
-        bits &= table.rows[p][values[:, p]]
+        bits &= table.rows[p].take(values[:, p], axis=0)
     if keep is not None:
         bits &= keep
+    # unpack only the nonzero words: word i of the flat bits starts at
+    # cell 64 i, less the pad bits of the rows before it
+    width = bits.shape[1]
+    bits = bits.ravel()
+    at = bits.nonzero()[0]
+    base = at * 64 - at // width * (64 * width - test.shape[1])
     # nonzero runs faster on a bool array than on a uint8 one
-    ok = np.unpackbits(bits.view(np.uint8), axis=1, count=test.shape[1], bitorder="little")
-    return ok.view(np.bool_)
+    ones = np.unpackbits(bits.take(at).view(np.uint8), bitorder="little").view(np.bool_)
+    hit = ones.nonzero()[0]
+    return base.take(hit >> 6) + (hit & 63)
 
 
 def _keys(states: np.ndarray) -> np.ndarray:
@@ -432,24 +449,23 @@ def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, free: np.
     distance lemma). Chunks stop at a goal state, or once more than
     ``room`` (None: no cap) states are queued. ``came`` holds the
     frontier's cells (None for the initial state), whose actions pick its
-    rows of ``keep``. ``bars`` (see the undo lemma) comes with ``keep``;
-    without it no child is flagged free."""
+    rows of ``keep``, a free state's in ``_doubled``'s second half.
+    ``bars`` (see the undo lemma) comes with ``keep``; without it no
+    child is flagged free."""
     rows = max(1, CELLS // n_act)
-    if keep is not None:
-        away_bits = np.packbits(np.pad(away, (0, -n_act % 64)), bitorder="little").view(np.uint64)
 
     def expand(lo: int):
         chunk, free_rows = frontier[lo : lo + rows], free[lo : lo + rows]
         after = None
         if keep is not None:
-            after = keep[[n_act] if came is None else came[lo : lo + rows] % n_act]
-            after[free_rows] &= away_bits  # a free state takes only its away actions
-        ok = _enabled(program, _tested_words(program, chunk), table, after)
-        cells = ok.ravel().nonzero()[0]
-        del ok, after  # CELLS bytes, freed before the children are built
+            pick = np.full(1, n_act) if came is None else came[lo : lo + rows] % n_act
+            pick += free_rows * (n_act + 1)
+            after = keep.take(pick, axis=0)
+        cells = _enabled(program, _tested_words(program, chunk), table, after)
+        del after  # CELLS / 8 bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
-        tight_children = tight[lo : lo + rows][parent] & away[action]
+        tight_children = tight[lo : lo + rows].take(parent) & away.take(action)
         del parent, action  # the chunk's scratch, freed before the sort
         first, keys = _distinct(children, highs)
         # a tight child is farther from init than any visited state
@@ -462,8 +478,8 @@ def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, free: np.
             free_children = np.zeros(len(cells), np.bool_)
         else:  # a child of a free parent whose distance from init misses bars[b]
             parent, action = np.divmod(cells, n_act)
-            free_children = free_rows[parent]
-            free_children &= ~((children ^ program.init) & bars[action]).any(axis=1)
+            free_children = free_rows.take(parent)
+            free_children &= ~((children ^ program.init) & bars.take(action, axis=0)).any(axis=1)
         return children, cells + lo * n_act, tight_children[queued], free_children, keys[fresh]
 
     starts = range(0, len(frontier), rows)
@@ -606,7 +622,7 @@ def search(
         parity = (depth + 1) % 2
         try:
             if table is None and n * n_act >= CELLS:
-                table, keep = _enable_table(program), _keep(program)
+                table, keep = _enable_table(program), _doubled(_keep(program), away)
                 # the bits some back action flips that G[b] lacks
                 bars = np.bitwise_or.reduce(program.flip[~away], axis=0) & ~_undo(program)
                 free = _free(program, frontier, np.concatenate(cells_seen), bars, n_act)

@@ -618,29 +618,54 @@ class TestEngine:
         assert sorted(first.tolist()) == list(range(0, 2500, 2))
         assert len(calls) <= 12
 
+    @staticmethod
+    def resized(program, n_act: int):
+        """``program`` with its actions repeated or cut to ``n_act``."""
+        pick = np.resize(np.arange(len(program.flip)), n_act)
+        return program._replace(
+            test=program.test[:, pick], need=program.need[:, pick], flip=program.flip[pick]
+        )
+
     def test_enable_table_matches_broadcast(self):
-        """The table's enable bits equal the broadcast test exactly, on
-        random states (reachable or not) of every corpus program."""
+        """The table's enabled cells equal the broadcast test's exactly,
+        alone and under random keep rows whose pad bits are set, on
+        random states (reachable or not) of every corpus program, and of
+        every tenth one cut or repeated to 63, 64, 65, 127, 128 and 129
+        actions."""
         rng = np.random.default_rng(0)
         instances = [random_policy(seed) for seed in range(500)]
         instances += [widen(*random_policy(seed), extra=130) for seed in range(0, 500, 25)]
         tested = hierarchical = 0
+        residues = set()
         for policy, query in instances:
             for cone in (whole(policy), _cone(policy, query)):
                 program = _compile_masks(policy, query, *cone)
                 if not len(program.flip):
                     continue
+                programs = [program]
+                if tested % 10 == 0:
+                    programs += [self.resized(program, n) for n in (63, 64, 65, 127, 128, 129)]
                 tested += 1
                 hierarchical += len(program.closure) > 0
-                states = rng.integers(0, 2**64, size=(200, len(program.init)), dtype=np.uint64)
-                states[0], states[1] = 0, ~np.uint64(0)
-                words = _engine._tested_words(program, states)
-                table = _engine._enable_table(program)
-                assert np.array_equal(
-                    _engine._enabled(program, words, table),
-                    _engine._enabled(program, words, None),
-                )
+                for program in programs:
+                    n_act = len(program.flip)
+                    residues.add(n_act % 64)
+                    states = rng.integers(0, 2**64, size=(200, len(program.init)), dtype=np.uint64)
+                    states[0], states[1] = 0, ~np.uint64(0)
+                    words = _engine._tested_words(program, states)
+                    table = _engine._enable_table(program)
+                    ok = np.zeros(len(states) * n_act, np.bool_)
+                    ok[_engine._enabled(program, words, None)] = True
+                    assert np.array_equal(_engine._enabled(program, words, table), ok.nonzero()[0])
+                    keep = rng.integers(0, 2**64, size=(len(states), -(-n_act // 64)),
+                                        dtype=np.uint64)
+                    keep[:, -1] |= ~np.uint64(0) << np.uint64(n_act % 64)  # every pad bit
+                    ok &= unpacked(keep, n_act).ravel()
+                    assert np.array_equal(
+                        _engine._enabled(program, words, table, keep), ok.nonzero()[0]
+                    )
         assert tested > 900 and hierarchical > 150
+        assert {0, 1, 63} <= residues
 
     def test_hierarchical_bank_cones_test_one_word(self):
         """A bank-18 cone of one state word tests one word: its roles and
@@ -1134,7 +1159,10 @@ class TestSleepLemma:
                 states = rng.integers(0, 2**64, size=(100, len(program.init)), dtype=np.uint64)
 
                 def enabled(states):
-                    return _engine._enabled(program, _engine._tested_words(program, states), None)
+                    cells = _engine._enabled(program, _engine._tested_words(program, states), None)
+                    ok = np.zeros((len(states), n_act), np.bool_)
+                    ok.flat[cells] = True
+                    return ok
 
                 at_p = enabled(states)
                 after = [enabled(states ^ program.flip[x]) for x in range(n_act)]
@@ -1180,6 +1208,30 @@ class TestSleepLemma:
         reach(policy, query)
         assert sorted(built) == ["_enable_table", "_keep", "_undo"]
 
+    def test_free_keep_rows_are_built_once_per_search(self, monkeypatch):
+        """The doubled keep table, whose second half the undo lemma's free
+        states take, is built with the enable table: never on 50 corpus
+        searches, and once on bank 1 q1, not once per level."""
+        built, levels = [], []
+        doubled, expand = _engine._doubled, _engine._expand
+
+        def counted_expand(program, frontier, tight, free, came, known, away, n_act, highs,
+                           table, keep, *rest):
+            if table is not None:
+                levels.append(len(keep))
+                assert len(keep) == 2 * (n_act + 1)
+            return expand(program, frontier, tight, free, came, known, away, n_act, highs,
+                          table, keep, *rest)
+
+        monkeypatch.setattr(_engine, "_doubled", lambda *args: built.append(1) or doubled(*args))
+        monkeypatch.setattr(_engine, "_expand", counted_expand)
+        for seed in range(0, 500, 10):
+            reach(*random_policy(seed))
+        assert built == [] and levels == []
+        policy, query = TestLevelChunks.bank_one()
+        reach(policy, query)
+        assert len(built) == 1 and len(levels) > 1
+
     @staticmethod
     def generated(monkeypatch) -> list[int]:
         """The (state, action) cells each ``_enabled`` call lets through."""
@@ -1188,9 +1240,9 @@ class TestSleepLemma:
         enabled = _engine._enabled
 
         def counted(*args):
-            ok = enabled(*args)
-            cells.append(int(ok.sum()))
-            return ok
+            out = enabled(*args)
+            cells.append(len(out))
+            return out
 
         monkeypatch.setattr(_engine, "_enabled", counted)
         return cells
