@@ -7,8 +7,8 @@ is expanded at once in numpy. Per frontier chunk of about ``CELLS``
 state * A + action), and the children are the parents with the
 action's target bit flipped. Sorting the children's
 keys keeps the first occurrence of each child, and ``searchsorted``
-into the sorted keys of visited states drops the visited ones (only
-where the distance lemma below lets a child be visited).
+into the sorted keys of visited states drops the visited ones (but for
+a free state's children, which the undo lemma below shows unvisited).
 
 An action passes when ``(words & test) == need`` holds on every tested
 word: the state's role bits, then one authorization bit per role that
@@ -26,10 +26,10 @@ passes for the value ``v`` (the first position's rows clear the bits
 past A). Bytes no action tests pass every action. A state's enabled
 actions are the AND of the rows its tested bytes pick, P lookups of
 ``ceil(A / 64)`` words instead of A word tests per tested word; only
-the nonzero words are unpacked into cells. Building the table takes 256 P A cells, more than a whole small
-search costs, so a search builds it once, at the first level whose
-broadcast would fill a chunk (``n * A >= CELLS``), and tests the levels
-before it by broadcast.
+the nonzero words are unpacked into cells. Building the table takes
+256 P A cells, more than a whole small search costs, so a search builds
+it once, at the first level whose broadcast would fill a chunk
+(``n * A >= CELLS``), and tests the levels before it by broadcast.
 
 Ordering lemma: the result (verdict, states popped, witness) equals that
 of the FIFO search that pops one state at a time, tests it against the
@@ -71,17 +71,12 @@ more than one chunk's scratch memory.
 Distance lemma: every action flips exactly one bit, an assign needing
 its target absent and a revoke needing it held. So a state first queued
 at level k differs from ``init`` in at most k bits, a count with the
-parity of k. (a) The visited keys are kept in two sorted arrays, one
-per level parity, and the children of level d are looked up only in
-the array of parity d + 1. (b) A state is tight when it differs from ``init`` in
-exactly k bits. An action moves its bit away from ``init`` when it
-assigns a role not held initially or revokes one that was, that is when
-its target test needs ``init``'s bit. A tight parent's away step gives
-a child d + 1 bits from ``init``, more than any visited state: it is
-unvisited and is not looked up. A child is tight exactly when its
-parent is tight and its action moves away, so a bool per queued state
-carries the flag from level to level. Neither rule changes which
-children are kept, only which keys are searched.
+parity of k. The visited keys are kept in two sorted arrays, one per
+level parity, and the children of level d are looked up only in the
+array of parity d + 1. This changes which keys are searched, never
+which children are kept. An action moves its bit away from ``init``
+when it assigns a role not held initially or revokes one that was, that
+is when its target test needs ``init``'s bit.
 
 Sleep lemma: an action's effect is the tested bits that flipping its
 target can change (its role bit and the authorization bits the target
@@ -93,8 +88,7 @@ at q. Then a is enabled at p, so p ^ flip[a], generated at (p, a) before
 (p, b), is queued before q or visited. And b is enabled at p ^ flip[a],
 so the cell (p ^ flip[a], b) generates q ^ flip[a] before (q, a) does.
 So no cell (q, a) of that kind is the first occurrence of its child,
-and dropping all of them leaves the queue, its cells and its tight
-flags as they are. From
+and dropping all of them leaves the queue and its cells as they are. From
 the level that builds the enable table on, each state's enabled bitset
 is ANDed with ``keep[b]``: the actions a >= b, or dependent on b, where
 b is the action of the state's cell (every action for the initial
@@ -120,9 +114,13 @@ restored is reachable in d - 2 steps, where x in G[b] lets b or its
 sibling take it to q with x restored. A back action enabled at q
 restores a bit of U in which q differs from ``init``, so its child was
 queued at an earlier level, all of which are whole: a free state
-takes only its away actions (``keep``'s second half), and every free
-state is tight. Only cells with visited children are dropped,
-so the queue, its cells and its flags stay those of the FIFO search.
+takes only its away actions (``keep``'s second half). Only cells with
+visited children are dropped, so the queue, its cells and its flags
+stay those of the FIFO search. A free state at level d differs from
+``init`` in d bits (were the step that queued it back, the claim for
+its free parent would reach it in d - 2 steps), so its children, d + 1
+bits from ``init``, are farther than any visited state: they are not
+looked up.
 ``bars[b]`` holds U less G[b]. The level that builds the enable table
 flags its states by checking each along its path of first-queuing cells
 (``_free``); after it, a queued child of a free parent is free when
@@ -435,23 +433,21 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, free: np.ndarray,
-            came: np.ndarray | None, known: np.ndarray, away: np.ndarray, n_act: int,
-            highs: list[int], table: EnableTable | None, keep: np.ndarray | None,
-            bars: np.ndarray | None, room: int | None):
+def _expand(program: Program, frontier: np.ndarray, free: np.ndarray, came: np.ndarray | None,
+            known: np.ndarray, n_act: int, highs: list[int], table: EnableTable | None,
+            keep: np.ndarray | None, bars: np.ndarray | None, room: int | None):
     """The unvisited children of ``frontier``, each once and in queue
     order, with the broadcast cell (parent * A + action) of each one's
-    first occurrence and its tight and free flags; their keys in sorted
-    order; and whether one of them meets the goal. ``tight`` and
-    ``free`` flag the frontier's tight and free states, ``away`` the
-    actions that move their bit away from init, and ``known`` holds the
-    sorted keys of the visited levels of the children's parity (see the
-    distance lemma). Chunks stop at a goal state, or once more than
-    ``room`` (None: no cap) states are queued. ``came`` holds the
-    frontier's cells (None for the initial state), whose actions pick its
-    rows of ``keep``, a free state's in ``_doubled``'s second half.
-    ``bars`` (see the undo lemma) comes with ``keep``; without it no
-    child is flagged free."""
+    first occurrence and its free flag; their keys in sorted order; and
+    whether one of them meets the goal. ``free`` flags the frontier's
+    free states, whose children are not looked up (see the undo lemma),
+    and ``known`` holds the sorted keys of the visited levels of the
+    children's parity (see the distance lemma). Chunks stop at a goal
+    state, or once more than ``room`` (None: no cap) states are queued.
+    ``came`` holds the frontier's cells (None for the initial state),
+    whose actions pick its rows of ``keep``, a free state's in
+    ``_doubled``'s second half. ``bars`` (see the undo lemma) comes with
+    ``keep``; without them no state is free."""
     rows = max(1, CELLS // n_act)
 
     def expand(lo: int):
@@ -465,22 +461,19 @@ def _expand(program: Program, frontier: np.ndarray, tight: np.ndarray, free: np.
         del after  # CELLS / 8 bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
         children = chunk.take(parent, axis=0) ^ program.flip.take(action, axis=0)
-        tight_children = tight[lo : lo + rows].take(parent) & away.take(action)
+        # a free parent's child is farther from init than any visited state
+        far = free_rows.take(parent)
         del parent, action  # the chunk's scratch, freed before the sort
         first, keys = _distinct(children, highs)
-        # a tight child is farther from init than any visited state
-        fresh = tight_children[first]
+        fresh = far[first]
         look = ~fresh
         fresh[look] = _absent(known, keys[look])
         queued = _queued(first[fresh], len(cells))
-        children, cells = children[queued], cells[queued]
-        if bars is None:
-            free_children = np.zeros(len(cells), np.bool_)
-        else:  # a child of a free parent whose distance from init misses bars[b]
-            parent, action = np.divmod(cells, n_act)
-            free_children = free_rows.take(parent)
-            free_children &= ~((children ^ program.init) & bars.take(action, axis=0)).any(axis=1)
-        return children, cells + lo * n_act, tight_children[queued], free_children, keys[fresh]
+        children, cells, free_children = children[queued], cells[queued], far[queued]
+        if bars is not None:  # free: a free parent, and child ^ init misses bars[b]
+            apart = (children ^ program.init) & bars.take(cells % n_act, axis=0)
+            free_children &= ~apart.any(axis=1)
+        return children, cells + lo * n_act, free_children, keys[fresh]
 
     starts = range(0, len(frontier), rows)
     if len(starts) > 1 and PAIRED:
@@ -517,7 +510,7 @@ def _in_pairs(expand, starts: range):
 
 def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
     """The level that the expanded ``chunks``, taken in order, queue: its
-    children, cells, tight and free flags, their sorted keys and whether
+    children, cells and free flags, their sorted keys and whether
     one meets the goal (see ``_expand``)."""
     parts, count, merged = [], 0, ()
     for *columns, keys in chunks:
@@ -550,7 +543,7 @@ def _absent(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _merge(parts: list, highs: list[int]):
-    """The children, cells, tight and free flags of the chunk results
+    """The children, cells and free flags of the chunk results
     ``parts``, which it empties, and the children's sorted keys: a child
     found in several chunks keeps its earliest chunk's occurrence."""
     columns = [np.concatenate(column) for column in zip(*parts)]
@@ -595,11 +588,7 @@ def search(
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
     highs = [int(word).bit_length() for word in held]
     table = keep = bars = None  # built when a level first fills a chunk
-    # whether each action moves its bit away from init: its target test
-    # (need, on the state words) reads init's bit there
-    away = ~((program.need[: len(program.init)].T ^ program.init) & program.flip).any(axis=1)
     frontier, cells = program.init[None, :], None
-    tight = np.ones(1, np.bool_)
     free = np.zeros(1, np.bool_)  # no state is flagged before the enable table
     # the sorted keys of the visited even levels, and of the odd ones
     visited = [_keys(frontier), _keys(frontier[:0])]
@@ -622,13 +611,16 @@ def search(
         parity = (depth + 1) % 2
         try:
             if table is None and n * n_act >= CELLS:
+                # the actions that move their bit away from init (distance lemma)
+                away = ~((program.need[: len(program.init)].T ^ program.init)
+                         & program.flip).any(axis=1)
                 table, keep = _enable_table(program), _doubled(_keep(program), away)
                 # the bits some back action flips that G[b] lacks
                 bars = np.bitwise_or.reduce(program.flip[~away], axis=0) & ~_undo(program)
                 free = _free(program, frontier, np.concatenate(cells_seen), bars, n_act)
-            frontier, cells, tight, free, keys, hit = _expand(
-                program, frontier, tight, free, cells, visited[parity], away, n_act, highs,
-                table, keep, bars, room,
+            frontier, cells, free, keys, hit = _expand(
+                program, frontier, free, cells, visited[parity], n_act, highs, table, keep, bars,
+                room,
             )
             if depth == max_depth or not len(keys):
                 return SearchResult(None, offset + n, bool(len(keys)))

@@ -10,7 +10,8 @@ goes to standard error, so `arbac generate ... | arbac check -` composes.
 check exit codes: 0 every query unreachable, 2 some query reachable,
 3 some query unknown and none reachable, 1 broken input or usage. The
 environment variable ARBAC_MAX_STATES supplies a default state cap for
-check when --max-states is not given.
+check when --max-states is not given. Every subcommand exits 1, with no
+traceback, when the reader of its standard output stops early.
 """
 
 from __future__ import annotations
@@ -354,7 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader stopped early: unflushed output goes nowhere
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

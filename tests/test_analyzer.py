@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -955,18 +956,21 @@ def popcounts(words):
 
 class TestDistanceLemma:
     """A state queued at level k differs from init in at most k bits,
-    with k's parity; a tight child (k + 1 bits) is never looked up."""
+    with k's parity, and in exactly k bits when the undo lemma flags it
+    free; a free state's children (k + 1 bits) are never looked up."""
 
     @staticmethod
     def count_lookups(monkeypatch):
-        """Per ``_absent`` call, the keys looked up, the keys found and
-        the known keys searched."""
+        """Per ``_absent`` call, the keys looked up, the keys found, the
+        known keys searched and the calling function: ``expand`` for a
+        chunk's lookups among the visited keys."""
         calls = []
         absent = _engine._absent
 
         def counted(known, keys):
             out = absent(known, keys)
-            calls.append((len(keys), int(len(keys) - out.sum()), len(known)))
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((len(keys), int(len(keys) - out.sum()), len(known), caller))
             return out
 
         monkeypatch.setattr(_engine, "_absent", counted)
@@ -975,27 +979,29 @@ class TestDistanceLemma:
     @staticmethod
     def check_levels(monkeypatch):
         """Check every level ``_expand`` reads or queues against the
-        lemma; returns the levels checked per search."""
-        searches = []
+        lemma; returns the levels checked per search and a one-item list
+        counting the free states checked."""
+        searches, frees = [], [0]
         expand = _engine._expand
 
-        def check(program, states, tight, k):
+        def check(program, states, free, k):
             apart = popcounts(states ^ program.init)
             assert (apart <= k).all() and (apart % 2 == k % 2).all(), k
-            assert np.array_equal(tight, apart == k), k
+            assert (apart[free] == k).all(), k
+            frees[0] += int(free.sum())
 
-        def checked(program, frontier, tight, *args):
+        def checked(program, frontier, free, *args):
             if len(frontier) == 1 and (frontier[0] == program.init).all():
                 searches.append(0)  # level 0: a new search
             k = searches[-1]
-            check(program, frontier, tight, k)
-            out = expand(program, frontier, tight, *args)
+            check(program, frontier, free, k)
+            out = expand(program, frontier, free, *args)
             check(program, out[0], out[2], k + 1)
             searches[-1] += 1
             return out
 
         monkeypatch.setattr(_engine, "_expand", checked)
-        return searches
+        return searches, frees
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_absent_from_no_known_keys(self, width):
@@ -1033,8 +1039,8 @@ class TestDistanceLemma:
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
     def test_a_detour_meets_states_two_levels_back(self, cells, monkeypatch):
         """The shortest witness assigns A and revokes it again, so
-        children that are not tight meet states queued two or more levels
-        before them, the only ones their parity's keys hold."""
+        children of states that are not free meet states queued two or
+        more levels before them, the only ones their parity's keys hold."""
         monkeypatch.setattr(_engine, "CELLS", cells)
         lookups = self.count_lookups(monkeypatch)
         oracle = oracle_reach(DETOUR, Q_T)
@@ -1042,7 +1048,7 @@ class TestDistanceLemma:
         assert oracle.outcome is full.outcome is Outcome.REACHABLE
         assert len(full.witness) == len(oracle.witness) == 5
         assert replay(DETOUR, Q_T, full.witness)
-        assert sum(found for _, found, _ in lookups) > 0
+        assert sum(found for _, found, *_ in lookups) > 0
         caps = [
             SearchLimits(max_states, max_depth)
             for max_states in (None, *range(1, full.states_explored + 2))
@@ -1055,7 +1061,7 @@ class TestDistanceLemma:
     def test_every_queued_state_obeys_the_lemma(self, cells, paired, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
         monkeypatch.setattr(_engine, "PAIRED", paired)
-        searches = self.check_levels(monkeypatch)
+        searches, frees = self.check_levels(monkeypatch)
         for seed in range(0, 500, 5):
             assert_matches_reference(*random_policy(seed), LIMITS[::5])
         bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
@@ -1070,29 +1076,37 @@ class TestDistanceLemma:
             query = SafetyQuery("newUser", target)
             assert_matches_reference(slice_policy(bank, query), query, LIMITS[::3])
         assert len(searches) > 300 and max(searches) >= 7
+        assert frees[0] >= {4: 1000, 64: 100}.get(cells, 0)
 
     def test_bank_one_looks_up_at_most_half_its_children(self, monkeypatch):
         """Looking every distinct child up among all visited keys takes
-        3,193,818 lookups on bank 1 q1, into 307,502 keys on average."""
+        3,193,818 lookups on bank 1 q1, into 307,502 keys on average; on
+        one thread, a free state's children skip theirs and 14,241 are
+        left."""
+        monkeypatch.setattr(_engine, "PAIRED", False)
         lookups = self.count_lookups(monkeypatch)
         policy, query = TestLevelChunks.bank_one()
         verdict = reach(policy, query)
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
-        looked = sum(keys for keys, _, _ in lookups)
+        looked = sum(keys for keys, *_ in lookups)
         assert looked <= 3_193_818 // 2
+        assert sum(keys for keys, *_, caller in lookups if caller == "expand") <= 15_000
         # a lookup searches only the keys of its parity's levels
-        assert sum(keys * known for keys, _, known in lookups) <= 200_000 * looked
+        assert sum(keys * known for keys, _, known, _ in lookups) <= 200_000 * looked
 
     def test_a_wide_witness_search_looks_up_a_tenth_of_its_children(self, monkeypatch):
         """Bank 3 with branch 1's clerk rule weakened: looking every
-        distinct child up among all visited keys takes 575,709 lookups."""
+        distinct child up among all visited keys takes 575,709 lookups,
+        and 5,523 on one thread once a free state's children skip theirs."""
+        monkeypatch.setattr(_engine, "PAIRED", False)
         lookups = self.count_lookups(monkeypatch)
         bank = mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
         query = SafetyQuery("newUser", "TargetQ1")
         verdict = reach(bank, query)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
-        assert sum(keys for keys, _, _ in lookups) <= 575_709 // 10
+        assert sum(keys for keys, *_ in lookups) <= 575_709 // 10
+        assert sum(keys for keys, *_, caller in lookups if caller == "expand") <= 6_000
 
 
 def packed(rows) -> np.ndarray:
@@ -1215,13 +1229,12 @@ class TestSleepLemma:
         built, levels = [], []
         doubled, expand = _engine._doubled, _engine._expand
 
-        def counted_expand(program, frontier, tight, free, came, known, away, n_act, highs,
-                           table, keep, *rest):
+        def counted_expand(program, frontier, free, came, known, n_act, highs, table, keep,
+                           *rest):
             if table is not None:
                 levels.append(len(keep))
                 assert len(keep) == 2 * (n_act + 1)
-            return expand(program, frontier, tight, free, came, known, away, n_act, highs,
-                          table, keep, *rest)
+            return expand(program, frontier, free, came, known, n_act, highs, table, keep, *rest)
 
         monkeypatch.setattr(_engine, "_doubled", lambda *args: built.append(1) or doubled(*args))
         monkeypatch.setattr(_engine, "_expand", counted_expand)
@@ -1321,8 +1334,7 @@ class TestUndoLemma:
         rule, checked, before = [None], [0], []
         expand = _engine._expand
 
-        def checking(program, frontier, tight, free, came, known, away, n_act, highs, table,
-                     *rest):
+        def checking(program, frontier, free, came, known, n_act, highs, table, *rest):
             states = [as_int(row) for row in frontier]
             if came is None:
                 expected = [True]
@@ -1337,8 +1349,7 @@ class TestUndoLemma:
                 assert free.tolist() == expected
                 checked[0] += 1
             before[:] = expected
-            return expand(program, frontier, tight, free, came, known, away, n_act, highs, table,
-                          *rest)
+            return expand(program, frontier, free, came, known, n_act, highs, table, *rest)
 
         monkeypatch.setattr(_engine, "_expand", checking)
         return rule, checked
@@ -1400,6 +1411,49 @@ class TestUndoLemma:
             assert_matches_reference(policy, query, LIMITS[::5])
         assert checked[0] >= {4: 1000, 64: 10}.get(cells, 0)
 
+    @staticmethod
+    def check_free_children(monkeypatch):
+        """Check every child that ``_expand`` queues from a free parent
+        against a reference set of the states of the search's earlier and
+        current levels: none may be among them. Returns a one-item list
+        counting the children checked."""
+        seen, checked = set(), [0]
+        expand = _engine._expand
+
+        def checking(program, frontier, free, came, known, n_act, *rest):
+            if came is None:  # level 0: a new search
+                seen.clear()
+            seen.update(as_int(row) for row in frontier)
+            out = expand(program, frontier, free, came, known, n_act, *rest)
+            children, cells = out[0], out[1]
+            for child in children[free[cells // n_act]]:
+                assert as_int(child) not in seen
+                checked[0] += 1
+            return out
+
+        monkeypatch.setattr(_engine, "_expand", checking)
+        return checked
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_no_child_of_a_free_parent_was_visited(self, cells, paired, monkeypatch):
+        """So skipping their lookup keeps the search that of the FIFO
+        reference."""
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        monkeypatch.setattr(_engine, "PAIRED", paired)
+        checked = self.check_free_children(monkeypatch)
+        instances = TestSleepLemma.corpus() + [(DETOUR, Q_T), (SENIOR, Q_T), (HELD, Q_T)]
+        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+        for target in ("FA-Clerk@1", "FA@2"):
+            query = SafetyQuery("newUser", target)
+            instances.append((slice_policy(bank, query), query))
+        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
+        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
+        instances.append((sliced, SafetyQuery("newUser", "AnyFour_1")))
+        for policy, query in instances:
+            assert reach(policy, query, use_slicing=False) == fifo_reach(policy, query)
+        assert checked[0] >= {4: 1000, 64: 100}.get(cells, 0)
+
     @pytest.mark.parametrize("cells", [1, 4])
     @pytest.mark.parametrize("policy", [SENIOR, HELD], ids=["senior", "held"])
     def test_a_state_that_restores_x_is_not_free(self, policy, cells, monkeypatch):
@@ -1452,7 +1506,7 @@ class TestUndoLemma:
         verdict = reach(policy, query)
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
         assert sum(cells) <= 0.25 * 5_508_078
-        assert sum(keys for keys, _, _ in lookups) <= 0.01 * 1_564_276
+        assert sum(keys for keys, *_ in lookups) <= 0.01 * 1_564_276
 
 
 class TestOracle:

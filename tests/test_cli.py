@@ -517,6 +517,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
+        """``check --json | head -1``: a thousand queries print more than
+        a 64 KiB pipe holds, so check writes to the pipe after the reader
+        has closed it."""
+        text = serialize_policy(generate_bank(BankConfig(branches=1)))
+        path = write(tmp_path, text + "SPEC newUser Employee@1 ;\n" * 1000)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with subprocess.Popen(
+            [sys.executable, "-m", "arbac", "check", path, "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert json.loads(line)["verdict"] == "reachable"
+        assert proc.returncode == 1
+        assert b"Traceback" not in err, err.decode()
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
