@@ -10,6 +10,13 @@ keys keeps the first occurrence of each child, and ``searchsorted``
 into the sorted keys of visited states drops the visited ones (but for
 a free state's children, which the undo lemma below shows unvisited).
 
+``levels`` yields the FIFO queue one ``Level`` at a time (its states,
+cells, free flags, goal hit and ``Work``), and ``search`` reads its
+result off them: the goal test, ``max_states``, ``max_depth``, the
+witness path, and a ``MemoryError``, which drops the level being built.
+Each chunk counts its cells and lookups with one ``list.append``, so
+the worker's chunk counts even when ``_level`` drops it.
+
 An action passes when ``(words & test) == need`` holds on every tested
 word: the state's role bits, then one authorization bit per role that
 another role grants, set when that role or one granting it is held, so
@@ -22,8 +29,8 @@ Byte lemma: ``&`` and ``==`` act bit by bit, so that test holds on
 every word exactly when it holds on every byte of the words. The enable
 table therefore holds, for each byte position some action tests, 256
 rows: row ``v`` is the bitset of the actions whose test on that byte
-passes for the value ``v`` (the first position's rows clear the bits
-past A). Bytes no action tests pass every action. A state's enabled
+passes for the value ``v`` (the bits past A stay clear). Bytes no
+action tests pass every action. A state's enabled
 actions are the AND of the rows its tested bytes pick, P lookups of
 ``ceil(A / 64)`` words instead of A word tests per tested word; only
 the nonzero words are unpacked into cells. Building the table takes
@@ -176,6 +183,25 @@ class SearchResult(NamedTuple):
     truncated: bool
 
 
+class Work(NamedTuple):
+    """What expanding the level before took."""
+
+    cells: int  # (state, action) cells its chunks generated
+    looked_up: int  # children its chunks looked up among the visited keys
+    chunks: int  # chunks expanded, a worker's dropped one included
+    merges: int  # merges of the chunks' results
+
+
+class Level(NamedTuple):
+    """One level of the FIFO search's queue (see ``levels``)."""
+
+    states: np.ndarray  # (n, W) in queue order
+    cells: np.ndarray  # (n,) parent queue position * A + action that first queued each, or 0
+    free: np.ndarray  # (n,) the undo lemma's flags, as expanding the level reads them
+    hit: bool  # whether a state meets the goal: the level ends at its chunk
+    work: Work
+
+
 class Program(NamedTuple):
     """A compiled policy: per-action tests on the tested words, the bit
     each action flips, the goal, and the authorization bits each role
@@ -218,21 +244,16 @@ class EnableTable(NamedTuple):
 
 
 def _enable_table(program: Program) -> EnableTable:
-    # actions padded to whole words: a zero test and need pass every
-    # value, so the first byte position's rows clear their bits
     n_act = program.test.shape[1]
-    pad = ((0, 0), (0, -n_act % 64))
-    test = np.ascontiguousarray(np.pad(program.test, pad).T).view(np.uint8).T  # (bytes, A)
-    need = np.ascontiguousarray(np.pad(program.need, pad).T).view(np.uint8).T
+    test = np.ascontiguousarray(program.test.T).view(np.uint8).T  # (bytes, A)
+    need = np.ascontiguousarray(program.need.T).view(np.uint8).T
     at = np.flatnonzero(test.any(axis=1))
     test, need = test[at], need[at]  # (P, A), rows contiguous
     value = np.arange(256, dtype=np.uint8)[:, None]
-    rows = np.empty((len(at), 256, test.shape[1] // 64), np.uint64)
+    rows = np.zeros((len(at), 256, -(-n_act // 64)), np.uint64)  # the bits past A stay clear
     for p in range(len(at)):  # one (256, A) bool block at a time
         ok = (value & test[p]) == need[p]
-        rows[p] = np.packbits(ok, axis=1, bitorder="little").view(np.uint64)
-    if n_act % 64:
-        rows[0, :, -1] &= ~(~np.uint64(0) << np.uint64(n_act % 64))
+        rows[p].view(np.uint8)[:, : -(-n_act // 8)] = np.packbits(ok, axis=1, bitorder="little")
     return EnableTable(at, rows)
 
 
@@ -247,10 +268,10 @@ def _positions(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _keep(program: Program) -> np.ndarray:
-    """(A + 1, ceil(A / 64)) uint64 bitsets: row b holds the actions that
-    a state first queued by action b may take without the sleep lemma
-    dropping them, every a >= b and every a dependent on b; row A, for
-    the initial state, holds every action."""
+    """(A, ceil(A / 64)) uint64 bitsets: row b holds the actions that a
+    state first queued by action b may take without the sleep lemma
+    dropping them, every a >= b and every a dependent on b. Row 0, which
+    the initial state's cell 0 picks, holds every action."""
     n_act, n_bits = len(program.flip), 64 * len(program.test)
     width = -(-n_act // 64)
     # each action's effect: its role bit, and the authorization bits that
@@ -263,37 +284,35 @@ def _keep(program: Program) -> np.ndarray:
     grantor = grantor[_positions(program.flip)[1]]  # one bit per action
     effect[grantor >= 0] |= program.closure[grantor[grantor >= 0]]
     # per tested bit, the actions whose effect holds it and those whose
-    # test does, as lists and as bitsets
+    # test does, as runs of actions and as bitsets
     pairs = _positions(effect), _positions(np.ascontiguousarray(program.test.T))
     del effect
-    lists = [_by_bit(actions, bits, n_bits) for actions, bits in pairs]
+    runs = [_by_bit(actions, bits, n_bits) for actions, bits in pairs]
     sets = [set_bits((n_bits, width), bits * 64 * width + actions) for actions, bits in pairs]
     del pairs
-    keep = np.zeros((n_act + 1, width), np.uint64)
+    keep = np.zeros((n_act, width), np.uint64)
     ones = ~np.uint64(0)
     from_bit = ones << np.arange(64, dtype=np.uint64)
     for w in range(width):  # every a >= b, for 64 rows b at a time
         block = keep[64 * w : 64 * w + 64]
         block[:, w] = from_bit[: len(block)]
         block[:, w + 1 :] = ones
-    keep[n_act] = ones
     # a bit in one action's effect and another's test makes them dependent
     for bit in np.flatnonzero(sets[0].any(axis=1) & sets[1].any(axis=1)):
-        keep[lists[0][bit]] |= sets[1][bit]
-        keep[lists[1][bit]] |= sets[0][bit]
+        for (actions, at), dependent in zip(runs, sets[::-1]):
+            keep[actions[at[bit] : at[bit + 1]]] |= dependent[bit]
     return keep
 
 
 def _doubled(keep: np.ndarray, away: np.ndarray) -> np.ndarray:
     """``keep`` over a copy of its rows ANDed with the ``away`` actions."""
-    bits = np.packbits(np.pad(away, (0, -len(away) % 64)), bitorder="little").view(np.uint64)
-    return np.concatenate((keep, keep & bits))
+    return np.concatenate((keep, keep & set_bits(keep.shape[1:], np.flatnonzero(away))))
 
 
-def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int) -> list[np.ndarray]:
-    """``actions`` split by their ``bits``, one array per bit."""
+def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int):
+    """``actions`` sorted by their ``bits``, and the n_bits + 1 offsets of the bits' runs."""
     order = np.argsort(bits, kind="stable")
-    return np.split(actions[order], np.bincount(bits, minlength=n_bits).cumsum()[:-1])
+    return actions[order], np.concatenate(([0], np.bincount(bits, minlength=n_bits).cumsum()))
 
 
 def _undo(program: Program) -> np.ndarray:
@@ -433,30 +452,25 @@ def _queued(first: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _expand(program: Program, frontier: np.ndarray, free: np.ndarray, came: np.ndarray | None,
+def _expand(program: Program, frontier: np.ndarray, free: np.ndarray, came: np.ndarray,
             known: np.ndarray, n_act: int, highs: list[int], table: EnableTable | None,
-            keep: np.ndarray | None, bars: np.ndarray | None, room: int | None):
-    """The unvisited children of ``frontier``, each once and in queue
-    order, with the broadcast cell (parent * A + action) of each one's
-    first occurrence and its free flag; their keys in sorted order; and
-    whether one of them meets the goal. ``free`` flags the frontier's
-    free states, whose children are not looked up (see the undo lemma),
-    and ``known`` holds the sorted keys of the visited levels of the
-    children's parity (see the distance lemma). Chunks stop at a goal
-    state, or once more than ``room`` (None: no cap) states are queued.
-    ``came`` holds the frontier's cells (None for the initial state),
-    whose actions pick its rows of ``keep``, a free state's in
-    ``_doubled``'s second half. ``bars`` (see the undo lemma) comes with
-    ``keep``; without them no state is free."""
+            keep: np.ndarray | None, bars: np.ndarray | None, room: int | None, offset: int):
+    """The level that ``frontier``, at queue position ``offset``, queues,
+    and its keys in sorted order. The children of ``free`` states are not
+    looked up (see the undo lemma), the others only in ``known``, the
+    sorted keys of the visited levels of their parity (see the distance
+    lemma). Chunks stop at a goal state, or once more than ``room``
+    (None: no cap) states are queued. The actions of the frontier's cells
+    ``came`` pick its rows of ``keep``, a free state's in ``_doubled``'s
+    second half; without ``keep`` and ``bars`` no state is free."""
     rows = max(1, CELLS // n_act)
+    done = []  # per chunk expanded: its cells and its lookups
 
     def expand(lo: int):
         chunk, free_rows = frontier[lo : lo + rows], free[lo : lo + rows]
         after = None
         if keep is not None:
-            pick = np.full(1, n_act) if came is None else came[lo : lo + rows] % n_act
-            pick += free_rows * (n_act + 1)
-            after = keep.take(pick, axis=0)
+            after = keep.take(came[lo : lo + rows] % n_act + free_rows * n_act, axis=0)
         cells = _enabled(program, _tested_words(program, chunk), table, after)
         del after  # CELLS / 8 bytes, freed before the children are built
         parent, action = np.divmod(cells, n_act)
@@ -468,17 +482,18 @@ def _expand(program: Program, frontier: np.ndarray, free: np.ndarray, came: np.n
         fresh = far[first]
         look = ~fresh
         fresh[look] = _absent(known, keys[look])
+        done.append((len(cells), int(np.count_nonzero(look))))
         queued = _queued(first[fresh], len(cells))
         children, cells, free_children = children[queued], cells[queued], far[queued]
         if bars is not None:  # free: a free parent, and child ^ init misses bars[b]
             apart = (children ^ program.init) & bars.take(cells % n_act, axis=0)
             free_children &= ~apart.any(axis=1)
-        return children, cells + lo * n_act, free_children, keys[fresh]
+        return children, cells + (offset + lo) * n_act, free_children, keys[fresh]
 
     starts = range(0, len(frontier), rows)
-    if len(starts) > 1 and PAIRED:
-        return _level(_in_pairs(expand, starts), program.goal, highs, room)
-    return _level(map(expand, starts), program.goal, highs, room)
+    chunks = _in_pairs(expand, starts) if len(starts) > 1 and PAIRED else map(expand, starts)
+    states, cells, free, keys, hit, merges = _level(chunks, program.goal, highs, room)
+    return Level(states, cells, free, hit, Work(*map(sum, zip(*done)), len(done), merges)), keys
 
 
 def _worker():
@@ -510,9 +525,9 @@ def _in_pairs(expand, starts: range):
 
 def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
     """The level that the expanded ``chunks``, taken in order, queue: its
-    children, cells and free flags, their sorted keys and whether
-    one meets the goal (see ``_expand``)."""
-    parts, count, merged = [], 0, ()
+    children, cells and free flags, their sorted keys, whether one meets
+    the goal (see ``_expand``) and the merges it took."""
+    parts, count, merged, merges = [], 0, (), 0
     for *columns, keys in chunks:
         parts.append(columns)
         hit = bool((columns[0] & goal).any())
@@ -526,12 +541,13 @@ def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
         if len(parts) > 1 and count >= 2 * len(merged):
             # the exact count, merged once each time the level doubles
             *columns, keys = _merge(parts, highs)
-            parts, count, merged = [columns], len(keys), keys
+            parts, count, merged, merges = [columns], len(keys), keys, merges + 1
         if len(parts) == 1 and count > room:
             break  # the queue prefix the cap pops is complete
     if len(parts) > 1:
         *columns, keys = _merge(parts, highs)
-    return (*columns, keys, hit)
+        merges += 1
+    return (*columns, keys, hit, merges)
 
 
 def _absent(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -580,55 +596,66 @@ def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
     return ids
 
 
-def search(
-    program: Program, max_states: int | None, max_depth: int | None
-) -> SearchResult:
+def levels(program: Program, max_states: int | None):
+    """The FIFO search's queue level by level, up to one that is empty,
+    meets the goal, or holds more states than ``max_states`` (None: no
+    cap) leaves to pop; each with the free flags its expansion reads."""
     n_act = max(1, len(program.flip))
     # a state holds only initial and flipped bits
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
     highs = [int(word).bit_length() for word in held]
     table = keep = bars = None  # built when a level first fills a chunk
-    frontier, cells = program.init[None, :], None
-    free = np.zeros(1, np.bool_)  # no state is flagged before the enable table
-    # the sorted keys of the visited even levels, and of the odd ones
-    visited = [_keys(frontier), _keys(frontier[:0])]
-    hit = bool((program.init & program.goal).any())
-    cells_seen = [np.zeros(1, np.intp)]  # parent * A + action per queue position
-    offset = 0  # queue position of frontier[0]
-    depth = 0
+    init = program.init[None, :]
+    level = Level(init, np.zeros(1, np.intp), np.zeros(1, np.bool_),
+                  bool((program.init & program.goal).any()), Work(0, 0, 0, 0))
+    # the sorted keys of the visited levels of the level's parity, then the other's
+    visited, keys = [_keys(init[:0])] * 2, _keys(init)
+    cells, offset = [], 0  # parent * A + action per queue position; the level's position
     while True:
-        n = len(frontier)
-        popped = n if max_states is None else min(n, max_states - offset)
-        if hit:
-            hits = np.flatnonzero((frontier[:popped] & program.goal).any(axis=1))
-            if len(hits):
-                found = offset + int(hits[0])
-                witness = _trace(found, cells_seen, n_act)
-                return SearchResult(witness, found + 1, False)
-        if popped < n:
-            return SearchResult(None, max_states, True)
+        n = len(level.states)
         room = None if max_states is None else max_states - offset - n
-        parity = (depth + 1) % 2
-        try:
-            if table is None and n * n_act >= CELLS:
-                # the actions that move their bit away from init (distance lemma)
-                away = ~((program.need[: len(program.init)].T ^ program.init)
-                         & program.flip).any(axis=1)
-                table, keep = _enable_table(program), _doubled(_keep(program), away)
-                # the bits some back action flips that G[b] lacks
-                bars = np.bitwise_or.reduce(program.flip[~away], axis=0) & ~_undo(program)
-                free = _free(program, frontier, np.concatenate(cells_seen), bars, n_act)
-            frontier, cells, free, keys, hit = _expand(
-                program, frontier, free, cells, visited[parity], n_act, highs, table, keep, bars,
-                room,
-            )
-            if depth == max_depth or not len(keys):
-                return SearchResult(None, offset + n, bool(len(keys)))
-            # a stable sort of two sorted runs is one linear merge, in place
-            visited[parity] = np.concatenate((visited[parity], keys))
-            visited[parity].sort(kind="stable")
-            cells_seen.append(cells + offset * n_act)
-        except MemoryError:  # the level is dropped: what was popped stands
-            return SearchResult(None, offset + n, True)
+        last = level.hit or not n or room is not None and room < 0
+        cells.append(level.cells)
+        if table is None and n * n_act >= CELLS and not last:
+            # the actions that move their bit away from init (distance lemma)
+            away = ~((program.need[: len(program.init)].T ^ program.init)
+                     & program.flip).any(axis=1)
+            table, keep = _enable_table(program), _doubled(_keep(program), away)
+            # the bits some back action flips that G[b] lacks
+            bars = np.bitwise_or.reduce(program.flip[~away], axis=0) & ~_undo(program)
+            level = level._replace(free=_free(program, level.states, np.concatenate(cells), bars,
+                                              n_act))
+        yield level
+        if last:
+            return
+        # after the yield, the level before let go: a stable sort of two
+        # sorted runs is one linear merge, in place
+        visited[0] = np.concatenate((visited[0], keys))
+        visited[0].sort(kind="stable")
+        level, keys = _expand(program, level.states, level.free, level.cells, visited[1], n_act,
+                              highs, table, keep, bars, room, offset)
+        visited.reverse()
         offset += n
-        depth += 1
+
+
+def search(program: Program, max_states: int | None, max_depth: int | None) -> SearchResult:
+    """``levels`` read as a result; a ``MemoryError`` drops the level being built."""
+    n_act = max(1, len(program.flip))
+    cells, offset = [], 0  # parent * A + action per queue position; the level's position
+    try:
+        for depth, level in enumerate(levels(program, max_states)):
+            n = len(level.states)
+            if not n or max_depth is not None and depth > max_depth:
+                return SearchResult(None, offset, n > 0)
+            popped = n if max_states is None else min(n, max_states - offset)
+            cells.append(level.cells)
+            if level.hit:
+                hits = np.flatnonzero((level.states[:popped] & program.goal).any(axis=1))
+                if len(hits):
+                    found = offset + int(hits[0])
+                    return SearchResult(_trace(found, cells, n_act), found + 1, False)
+            if popped < n:
+                return SearchResult(None, max_states, True)
+            offset += n
+    except MemoryError:
+        return SearchResult(None, offset, True)

@@ -10,6 +10,7 @@ scanner must match exactly."""
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -52,10 +53,11 @@ _NAME_POOL = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def random_policy(seed: int) -> tuple[Policy, SafetyQuery]:
     """Small random policy plus a query against it, deterministic in the
     seed. Always well-formed: at most 8 roles, 12 can_assign rules,
-    4 can_revoke rules, occasionally a hierarchy and a second user."""
+    4 can_revoke rules, occasionally a hierarchy and a second user. Memoized."""
     rng = random.Random(seed)
     n_roles = rng.randint(2, 8)
     roles = tuple(rng.sample(_NAME_POOL, n_roles))
@@ -208,6 +210,7 @@ def _python_masks(policy: Policy, query: SafetyQuery):
     return actions, closure, mask(policy.initial_roles(query.user)), index[query.target]
 
 
+@functools.lru_cache(maxsize=None)
 def reference_keep(
     policy: Policy, query: SafetyQuery, one_way: bool = False, later: bool = False
 ) -> list[list[bool]]:
@@ -215,9 +218,9 @@ def reference_keep(
     over Python-int masks: row b keeps action a when a >= b or when one's
     effect (its target's role bit and the authorization of the roles the
     target grants) meets the other's test (its target's role bit and the
-    authorization of its literals); row A keeps every action. Two unsound
-    variants: ``one_way`` keeps only the a whose test meets b's effect,
-    and ``later`` keeps a <= b instead of a >= b."""
+    authorization of its literals). Two unsound variants: ``one_way``
+    keeps only the a whose test meets b's effect, and ``later`` keeps
+    a <= b instead of a >= b. Memoized: do not modify the result."""
     actions, closure, _, _ = _python_masks(policy, query)
     tests = [(tbit, pos | neg) for _, pos, neg, tbit in actions]
     effects = [
@@ -229,14 +232,14 @@ def reference_keep(
         return any(t & e for t, e in zip(tests[a], effects[b]))
 
     n = len(actions)
-    rows = [
+    return [
         [(a <= b if later else a >= b) or reads(a, b) or (not one_way and reads(b, a))
          for a in range(n)]
         for b in range(n)
     ]
-    return rows + [[True] * n]
 
 
+@functools.lru_cache(maxsize=None)
 def reference_undo(policy: Policy, query: SafetyQuery, every: bool = False, loose: bool = False):
     """The undo lemma's G table of the unsliced program, pair by pair over
     Python-int masks, and its free flag. Row b holds b's target bit and
@@ -252,7 +255,7 @@ def reference_undo(policy: Policy, query: SafetyQuery, every: bool = False, loos
     some back action flips must lie in G[b]. Two unsound variants:
     ``every`` puts every role in every row, and ``loose`` takes any
     action with b's kind, target and tested roles as a sibling, b itself
-    included."""
+    included. Memoized: do not modify the result."""
     actions, closure, init, _ = _python_masks(policy, query)
     n = len(policy.roles)
     closure = closure or [1 << x for x in range(n)]
@@ -348,12 +351,11 @@ def run_python(init, n_roles, actions, closure, target_idx, max_states, max_dept
     return ids[::-1], head + 1, truncated
 
 
-def fifo_reach(
-    policy: Policy, query: SafetyQuery, limits: SearchLimits = SearchLimits()
-) -> Verdict:
+@functools.lru_cache(maxsize=None)
+def fifo_reach(policy: Policy, query: SafetyQuery, limits: SearchLimits) -> Verdict:
     """``reach(policy, query, limits, use_slicing=False)`` computed by
     ``run_python``; the reference the engine must equal on outcome,
-    states explored and witness."""
+    states explored and witness. Memoized, as a ``Verdict`` is frozen."""
     actions, closure, init, target = _python_masks(policy, query)
     ids, popped, truncated = run_python(
         init, len(policy.roles), actions, closure, target,

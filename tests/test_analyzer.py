@@ -5,12 +5,13 @@ witness replay."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
-import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +391,16 @@ class TestLimits:
         assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
         assert calls == [1, 1, 4] and verdict.states_explored == 6
 
+    @pytest.mark.parametrize("build", ["_enable_table", "_keep", "_undo"])
+    def test_running_out_of_memory_building_the_tables_ends_unknown(self, build, monkeypatch):
+        """Bank 1 q1 builds its enable table, keep and G when level 8
+        first fills a chunk: a build that runs out of memory stops the
+        search with the 4,877 states of levels 0-7."""
+        monkeypatch.setattr(_engine, build, mock.Mock(side_effect=MemoryError))
+        verdict = reach(*TestLevelChunks.bank_one())
+        assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
+        assert verdict.states_explored == 4_877
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_limits_must_be_positive(self, bad):
         with pytest.raises(ValueError):
@@ -436,6 +447,24 @@ def whole(policy):
     """The cone arguments of ``_compile_masks`` that keep every role and
     rule, as ``reach(..., use_slicing=False)`` passes them."""
     return policy.roles, range(len(policy.ca)), range(len(policy.cr))
+
+
+@functools.cache
+def hierarchical_bank_18():
+    config = BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
+    return generate_bank(config)
+
+
+def traced_build(build):
+    """The unsliced hierarchical bank-18 program, ``build`` of it, and
+    the peak traced memory of the build."""
+    policy = hierarchical_bank_18()
+    program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
+    tracemalloc.start()
+    try:
+        return program, build(program), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def named_rules(policy, verdict):
@@ -506,10 +535,8 @@ class TestEngine:
         assert_matches_reference(policy, policy.queries[0], LIMITS[:4])
 
     def test_two_word_bank_slice(self):
-        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
-        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
+        sliced, query = wide_witness_slice()
         assert 64 < len(sliced.roles) <= 128
-        query = SafetyQuery("newUser", "AnyFour_1")
         caps = [SearchLimits(max_states, max_depth)
                 for max_states, max_depth in ((None, None), (1, None), (500, None),
                                               (None, 2), (500, 7))]
@@ -671,9 +698,7 @@ class TestEngine:
     def test_hierarchical_bank_cones_test_one_word(self):
         """A bank-18 cone of one state word tests one word: its roles and
         their authorization bits together fit in 64 bits."""
-        policy = generate_bank(
-            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
-        )
+        policy = hierarchical_bank_18()
         hierarchical = 0
         for role in policy.roles:
             query = SafetyQuery("newUser", role)
@@ -687,18 +712,83 @@ class TestEngine:
         """The unsliced hierarchical bank-18 program (5,185 actions, 91
         tested bytes) builds its 14.6 MiB table without a (P, 256, A)
         bool array."""
-        policy = generate_bank(
-            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
-        )
-        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
-        tracemalloc.start()
-        try:
-            table = _engine._enable_table(program)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, table, peak = traced_build(_engine._enable_table)
         assert table.rows.shape == (91, 256, 82)
         assert peak < 2 * table.rows.nbytes
+
+
+@functools.lru_cache(maxsize=None)
+def search_levels(policy, query, cells: int, paired: bool):
+    """Every level of ``reach(policy, query, use_slicing=False)``'s uncapped
+    search at ``cells`` per chunk, ``paired`` or not, its action count, and
+    the level that builds the enable table (the first but the last that
+    fills a chunk, or none). At 4 cells on one thread: the first run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_engine, "CELLS", cells)
+        patch.setattr(_engine, "PAIRED", paired)
+        program = _compile_masks(policy, query, *whole(policy))
+        levels = list(_engine.levels(program, None))
+    n_act = max(1, len(program.flip))
+    fills = (d for d, level in enumerate(levels[:-1]) if len(level.states) * n_act >= cells)
+    return levels, n_act, next(fills, len(levels))
+
+
+@functools.lru_cache(maxsize=None)
+def same_levels(policy, query, cells: int, paired: bool):
+    """``search_levels`` at 4 or more cells, checked once against the first
+    run by the chunk lemma: the same hit, states and cells on every level
+    (the shorter one's on a level that meets the goal, which ends at the
+    chunk that found it), and the same free flags from the table on."""
+    levels, n_act, start = search_levels(policy, query, cells, paired)
+    first = search_levels(policy, query, 4, False)[0]
+    assert len(levels) == len(first)
+    for d, (level, expected) in enumerate(zip(levels, first)):
+        assert level.hit == expected.hit, d
+        n = min(len(level.states), len(expected.states)) if level.hit else None
+        assert np.array_equal(level.states[:n], expected.states[:n]), d
+        assert np.array_equal(level.cells[:n], expected.cells[:n]), d
+        assert np.array_equal(level.free[:n], expected.free[:n] & (d >= start)), d
+    return levels, n_act, start
+
+
+def parent_free(levels, n_act: int) -> list[np.ndarray]:
+    """Per level after the first, whether each state's parent is free."""
+    offsets = np.cumsum([0] + [len(level.states) for level in levels])
+    return [before.free[level.cells // n_act - offset]
+            for before, level, offset in zip(levels, levels[1:], offsets)]
+
+
+def row_keys(states: np.ndarray) -> np.ndarray:
+    """Each row of the uint64 ``states`` as one raw byte string."""
+    return np.ascontiguousarray(states).view((np.void, 8 * states.shape[1])).ravel()
+
+
+@functools.cache
+def hierarchical_slices():
+    bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
+    queries = [SafetyQuery("newUser", target) for target in ("FA-Clerk@1", "FA@2")]
+    return [(slice_policy(bank, query), query) for query in queries]
+
+
+@functools.cache
+def wide_witness_bank():
+    """Bank 3 with branch 1's clerk rule weakened."""
+    return mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
+
+
+@functools.cache
+def wide_witness_slice():
+    sliced = slice_policy(wide_witness_bank(), SafetyQuery("newUser", "TargetQ1"))
+    return sliced, SafetyQuery("newUser", "AnyFour_1")
+
+
+@functools.lru_cache(maxsize=None)
+def one_thread(policy, query):
+    """``reach``'s verdict on ``query`` and the levels of its search, on one thread."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_engine, "PAIRED", False)
+        program = _compile_masks(policy, query, *_cone(policy, query))
+        return reach(policy, query), list(_engine.levels(program, None))
 
 
 class TestLevelChunks:
@@ -722,9 +812,15 @@ class TestLevelChunks:
         return futures
 
     @staticmethod
+    @functools.cache
     def bank_one():
         policy = generate_bank(BankConfig(branches=1, instrumentation="q1"))
         return policy, policy.queries[0]
+
+    @staticmethod
+    def bank_one_program():
+        policy, query = TestLevelChunks.bank_one()
+        return _compile_masks(policy, query, *_cone(policy, query))
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_a_capped_level_stops_at_the_cap(self, paired, monkeypatch):
@@ -733,28 +829,13 @@ class TestLevelChunks:
         chunk already queues more, so no later chunk is taken; the
         worker's chunk, expanded beside it, is dropped."""
         monkeypatch.setattr(_engine, "PAIRED", paired)
-        chunks, levels = [], []
-        enabled, expand = _engine._enabled, _engine._expand
-
-        def counted_enabled(program, words, *rest):
-            chunks.append(len(words))
-            return enabled(program, words, *rest)
-
-        def counted_expand(program, frontier, *args):
-            before = len(chunks)
-            out = expand(program, frontier, *args)
-            levels.append((len(frontier), len(chunks) - before))
-            return out
-
-        monkeypatch.setattr(_engine, "_enabled", counted_enabled)
-        monkeypatch.setattr(_engine, "_expand", counted_expand)
-        policy, query = self.bank_one()
-        verdict = reach(policy, query, SearchLimits(max_states=197_000))
+        verdict = reach(*self.bank_one(), SearchLimits(max_states=197_000))
         assert verdict.outcome is Outcome.UNKNOWN and verdict.states_explored == 197_000
-        rows = _engine.CELLS // len(_compile_masks(policy, query, *_cone(policy, query)).flip)
-        frontier, taken = levels[-1]
-        assert -(-frontier // rows) == 21
-        assert taken == (2 if paired else 1)
+        program = self.bank_one_program()
+        *_, frontier, level = _engine.levels(program, 197_000)
+        rows = _engine.CELLS // len(program.flip)
+        assert -(-len(frontier.states) // rows) == 21
+        assert level.work.chunks == (2 if paired else 1)
 
     @pytest.mark.parametrize("cells", [4, 64])
     def test_capped_searches_match_the_reference(self, cells, monkeypatch):
@@ -814,41 +895,21 @@ class TestLevelChunks:
         of the level per chunk."""
         monkeypatch.setattr(_engine, "CELLS", 1 << 16)
         monkeypatch.setattr(_engine, "PAIRED", False)
-        levels = []
-        enabled, expand, merge = _engine._enabled, _engine._expand, _engine._merge
-
-        def counted_enabled(*args):
-            levels[-1][0] += 1
-            return enabled(*args)
-
-        def counted_merge(*args):
-            levels[-1][1] += 1
-            return merge(*args)
-
-        def counted_expand(*args):
-            levels.append([0, 0])
-            return expand(*args)
-
-        monkeypatch.setattr(_engine, "_enabled", counted_enabled)
-        monkeypatch.setattr(_engine, "_merge", counted_merge)
-        monkeypatch.setattr(_engine, "_expand", counted_expand)
-        policy, query = self.bank_one()
-        verdict = reach(policy, query, SearchLimits(max_states=1 + 27**4))
-        assert verdict.outcome is Outcome.UNREACHABLE and verdict.exhausted
-        assert max(chunks for chunks, _ in levels) == 425
-        assert sum(merges for _, merges in levels) > sum(chunks > 1 for chunks, _ in levels)
-        for chunks, merges in levels:
-            assert merges <= 1 + math.log2(chunks), (chunks, merges)
+        levels = list(_engine.levels(self.bank_one_program(), 1 + 27**4))
+        # the search exhausts the states at the cap
+        assert not len(levels[-1].states) and sum(len(lv.states) for lv in levels) == 1 + 27**4
+        work = [level.work for level in levels[1:]]
+        assert max(w.chunks for w in work) == 425
+        assert sum(w.merges for w in work) > sum(w.chunks > 1 for w in work)
+        for w in work:
+            assert w.merges <= 1 + math.log2(w.chunks), w
 
     @pytest.mark.parametrize("cells", [4, 64])
     def test_paired_and_inline_chunks_agree(self, cells, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
         handed = self.record_worker(monkeypatch)
         instances = [(*random_policy(seed), LIMITS) for seed in range(0, 60, 3)]
-        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
-        for target in ("FA-Clerk@1", "FA@2"):
-            query = SafetyQuery("newUser", target)
-            instances.append((slice_policy(bank, query), query, LIMITS[::3]))
+        instances += [(policy, query, LIMITS[::3]) for policy, query in hierarchical_slices()]
         for policy, query, limits_list in instances:
             program = _compile_masks(policy, query, *whole(policy))
             for limits in limits_list:
@@ -861,13 +922,21 @@ class TestLevelChunks:
                 assert results[0] == results[1], limits
         assert handed
 
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_levels_do_not_depend_on_the_chunks(self, cells, paired):
+        """The chunk lemma, level by level (see ``same_levels``), on the
+        corpus and the hierarchical bank-2 slices."""
+        for policy, query in TestSleepLemma.corpus() + hierarchical_slices():
+            same_levels(policy, query, cells, paired)
+
     def test_one_worker_holds_one_chunk_done_before_expand_returns(self, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", 64)
         monkeypatch.setattr(_engine, "PAIRED", True)
         handed = self.record_worker(monkeypatch)
         lock = threading.Lock()
         running, most, workers = set(), [0], set()
-        enabled, expand = _engine._enabled, _engine._expand
+        enabled = _engine._enabled
 
         def watched_enabled(program, words, *rest):
             me = threading.get_ident()
@@ -882,14 +951,11 @@ class TestLevelChunks:
                 with lock:
                     running.discard(me)
 
-        def watched_expand(*args):
-            out = expand(*args)
-            assert all(future.done() for future in handed)
-            return out
-
         monkeypatch.setattr(_engine, "_enabled", watched_enabled)
-        monkeypatch.setattr(_engine, "_expand", watched_expand)
         policy = single_division_policy(mutated=True)
+        program = _compile_masks(policy, policy.queries[0], *whole(policy))
+        for _ in _engine.levels(program, None):
+            assert all(future.done() for future in handed)
         assert_matches_reference(policy, policy.queries[0], LIMITS[::5])
         assert len(handed) > 1 and len(workers) == 1 and most[0] <= 2
 
@@ -927,9 +993,7 @@ class TestLevelChunks:
         """Every level of the 595 hierarchical bank-18 role queries fits
         one chunk, so even with two cores no worker starts."""
         monkeypatch.setattr(_engine, "PAIRED", True)
-        policy = generate_bank(
-            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
-        )
+        policy = hierarchical_bank_18()
         roles = [r for r in policy.roles if "@" in r or r == ADMIN_ROLE]
         assert len(roles) == 595
         handed = self.record_worker(monkeypatch)
@@ -954,54 +1018,22 @@ def popcounts(words):
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def distance_checked(policy, query) -> None:
+    """Check the distance lemma once on every level of the first run, which
+    each lemma check reads and every other run is compared to."""
+    levels = search_levels(policy, query, 4, False)[0]
+    init = levels[0].states[0]
+    for k, level in enumerate(levels):
+        apart = popcounts(level.states ^ init)
+        assert (apart <= k).all() and (apart % 2 == k % 2).all(), k
+        assert (apart[level.free] == k).all(), k
+
+
 class TestDistanceLemma:
     """A state queued at level k differs from init in at most k bits,
     with k's parity, and in exactly k bits when the undo lemma flags it
     free; a free state's children (k + 1 bits) are never looked up."""
-
-    @staticmethod
-    def count_lookups(monkeypatch):
-        """Per ``_absent`` call, the keys looked up, the keys found, the
-        known keys searched and the calling function: ``expand`` for a
-        chunk's lookups among the visited keys."""
-        calls = []
-        absent = _engine._absent
-
-        def counted(known, keys):
-            out = absent(known, keys)
-            caller = sys._getframe(1).f_code.co_name
-            calls.append((len(keys), int(len(keys) - out.sum()), len(known), caller))
-            return out
-
-        monkeypatch.setattr(_engine, "_absent", counted)
-        return calls
-
-    @staticmethod
-    def check_levels(monkeypatch):
-        """Check every level ``_expand`` reads or queues against the
-        lemma; returns the levels checked per search and a one-item list
-        counting the free states checked."""
-        searches, frees = [], [0]
-        expand = _engine._expand
-
-        def check(program, states, free, k):
-            apart = popcounts(states ^ program.init)
-            assert (apart <= k).all() and (apart % 2 == k % 2).all(), k
-            assert (apart[free] == k).all(), k
-            frees[0] += int(free.sum())
-
-        def checked(program, frontier, free, *args):
-            if len(frontier) == 1 and (frontier[0] == program.init).all():
-                searches.append(0)  # level 0: a new search
-            k = searches[-1]
-            check(program, frontier, free, k)
-            out = expand(program, frontier, free, *args)
-            check(program, out[0], out[2], k + 1)
-            searches[-1] += 1
-            return out
-
-        monkeypatch.setattr(_engine, "_expand", checked)
-        return searches, frees
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_absent_from_no_known_keys(self, width):
@@ -1042,13 +1074,16 @@ class TestDistanceLemma:
         children of states that are not free meet states queued two or
         more levels before them, the only ones their parity's keys hold."""
         monkeypatch.setattr(_engine, "CELLS", cells)
-        lookups = self.count_lookups(monkeypatch)
         oracle = oracle_reach(DETOUR, Q_T)
         full = reach(DETOUR, Q_T, use_slicing=False)
         assert oracle.outcome is full.outcome is Outcome.REACHABLE
         assert len(full.witness) == len(oracle.witness) == 5
         assert replay(DETOUR, Q_T, full.witness)
-        assert sum(found for _, found, *_ in lookups) > 0
+        # a child looked up but not queued was visited, or found by an earlier
+        # chunk of its level (with 64 cells and more, a level is one chunk)
+        levels, n_act, _ = search_levels(DETOUR, Q_T, cells, False)
+        looked = sum(level.work.looked_up for level in levels)
+        assert looked > sum(int((~free).sum()) for free in parent_free(levels, n_act))
         caps = [
             SearchLimits(max_states, max_depth)
             for max_states in (None, *range(1, full.states_explored + 2))
@@ -1061,52 +1096,53 @@ class TestDistanceLemma:
     def test_every_queued_state_obeys_the_lemma(self, cells, paired, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
         monkeypatch.setattr(_engine, "PAIRED", paired)
-        searches, frees = self.check_levels(monkeypatch)
         for seed in range(0, 500, 5):
             assert_matches_reference(*random_policy(seed), LIMITS[::5])
-        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
-        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
-        query = SafetyQuery("newUser", "AnyFour_1")
-        # TestEngine compares the uncapped search with the FIFO reference
-        verdict = reach(sliced, query, use_slicing=False)
+        sliced, query = wide_witness_slice()
+        # TestEngine and TestUndoLemma compare the uncapped search with it
+        verdict = fifo_reach(sliced, query, LIMITS[0])
         assert (verdict.states_explored, len(verdict.witness)) == (14_407, 7)
         assert_matches_reference(sliced, query, [SearchLimits(500, 7)])
-        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
-        for target in ("FA-Clerk@1", "FA@2"):
-            query = SafetyQuery("newUser", target)
-            assert_matches_reference(slice_policy(bank, query), query, LIMITS[::3])
-        assert len(searches) > 300 and max(searches) >= 7
-        assert frees[0] >= {4: 1000, 64: 100}.get(cells, 0)
+        for policy, query in hierarchical_slices():
+            assert_matches_reference(policy, query, LIMITS[::3])
+        checked = depth = frees = 0  # levels and free states checked
+        instances = TestSleepLemma.corpus() + [wide_witness_slice()] + hierarchical_slices()
+        for policy, query in instances:
+            levels = same_levels(policy, query, cells, paired)[0]
+            distance_checked(policy, query)
+            checked += len(levels)
+            depth = max(depth, len(levels) - 1)
+            frees += sum(int(level.free.sum()) for level in levels)
+        assert checked > 300 and depth >= 7
+        assert frees >= {4: 1000, 64: 100}.get(cells, 0)
 
-    def test_bank_one_looks_up_at_most_half_its_children(self, monkeypatch):
+    def test_bank_one_looks_up_at_most_half_its_children(self):
         """Looking every distinct child up among all visited keys takes
         3,193,818 lookups on bank 1 q1, into 307,502 keys on average; on
         one thread, a free state's children skip theirs and 14,241 are
         left."""
-        monkeypatch.setattr(_engine, "PAIRED", False)
-        lookups = self.count_lookups(monkeypatch)
-        policy, query = TestLevelChunks.bank_one()
-        verdict = reach(policy, query)
+        verdict, levels = one_thread(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
-        looked = sum(keys for keys, *_ in lookups)
+        looked = sum(level.work.looked_up for level in levels)
         assert looked <= 3_193_818 // 2
-        assert sum(keys for keys, *_, caller in lookups if caller == "expand") <= 15_000
+        assert looked <= 15_000
         # a lookup searches only the keys of its parity's levels
-        assert sum(keys * known for keys, _, known, _ in lookups) <= 200_000 * looked
+        sizes = [len(level.states) for level in levels]
+        searched = sum(level.work.looked_up * sum(sizes[d % 2 : d : 2])
+                       for d, level in enumerate(levels))
+        assert searched <= 200_000 * looked
 
-    def test_a_wide_witness_search_looks_up_a_tenth_of_its_children(self, monkeypatch):
+    def test_a_wide_witness_search_looks_up_a_tenth_of_its_children(self):
         """Bank 3 with branch 1's clerk rule weakened: looking every
         distinct child up among all visited keys takes 575,709 lookups,
         and 5,523 on one thread once a free state's children skip theirs."""
-        monkeypatch.setattr(_engine, "PAIRED", False)
-        lookups = self.count_lookups(monkeypatch)
-        bank = mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
-        query = SafetyQuery("newUser", "TargetQ1")
-        verdict = reach(bank, query)
+        bank, query = wide_witness_bank(), SafetyQuery("newUser", "TargetQ1")
+        verdict, levels = one_thread(bank, query)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
-        assert sum(keys for keys, *_ in lookups) <= 575_709 // 10
-        assert sum(keys for keys, *_, caller in lookups if caller == "expand") <= 6_000
+        looked = sum(level.work.looked_up for level in levels)
+        assert looked <= 575_709 // 10
+        assert looked <= 6_000
 
 
 def packed(rows) -> np.ndarray:
@@ -1149,7 +1185,7 @@ class TestSleepLemma:
             hierarchical += len(program.closure) > 0
             wide += len(program.init) > 1
             keep = _engine._keep(program)
-            assert keep.shape == (n_act + 1, -(-n_act // 64))
+            assert keep.shape == (n_act, -(-n_act // 64))
             expected = np.array(reference_keep(policy, query), np.bool_)
             assert np.array_equal(unpacked(keep, n_act), expected)
         assert len(bank.ca) + len(bank.cr) > 128
@@ -1167,7 +1203,7 @@ class TestSleepLemma:
                 n_act = len(program.flip)
                 if not n_act:
                     continue
-                dropped = ~unpacked(_engine._keep(program), n_act)[:n_act]
+                dropped = ~unpacked(_engine._keep(program), n_act)
                 if not dropped.any():
                     continue
                 states = rng.integers(0, 2**64, size=(100, len(program.init)), dtype=np.uint64)
@@ -1198,10 +1234,10 @@ class TestSleepLemma:
         differs = []
         for seed in range(500):
             policy, query = random_policy(seed)
-            expected = fifo_reach(policy, query)
+            expected = fifo_reach(policy, query, SearchLimits())
             for variant in ({}, mutant):
-                keep = packed(reference_keep(policy, query, **variant))
-                monkeypatch.setattr(_engine, "_keep", lambda program: keep)
+                rows = reference_keep(policy, query, **variant)  # none without actions
+                monkeypatch.setattr(_engine, "_keep", lambda program, rows=rows: packed(rows))
                 if reach(policy, query, use_slicing=False) != expected:
                     assert variant, seed
                     differs.append(seed)
@@ -1226,74 +1262,39 @@ class TestSleepLemma:
         """The doubled keep table, whose second half the undo lemma's free
         states take, is built with the enable table: never on 50 corpus
         searches, and once on bank 1 q1, not once per level."""
-        built, levels = [], []
-        doubled, expand = _engine._doubled, _engine._expand
-
-        def counted_expand(program, frontier, free, came, known, n_act, highs, table, keep,
-                           *rest):
-            if table is not None:
-                levels.append(len(keep))
-                assert len(keep) == 2 * (n_act + 1)
-            return expand(program, frontier, free, came, known, n_act, highs, table, keep, *rest)
-
-        monkeypatch.setattr(_engine, "_doubled", lambda *args: built.append(1) or doubled(*args))
-        monkeypatch.setattr(_engine, "_expand", counted_expand)
+        built, doubled = [], _engine._doubled  # the doubled tables
+        monkeypatch.setattr(_engine, "_doubled",
+                            lambda *args: built.append(doubled(*args)) or built[-1])
         for seed in range(0, 500, 10):
             reach(*random_policy(seed))
-        assert built == [] and levels == []
-        policy, query = TestLevelChunks.bank_one()
-        reach(policy, query)
-        assert len(built) == 1 and len(levels) > 1
+        assert built == []
+        program = TestLevelChunks.bank_one_program()
+        levels = list(_engine.levels(program, None))
+        assert [len(keep) for keep in built] == [2 * len(program.flip)]
+        # the levels after the table's take free rows: every state is free
+        assert sum(bool(level.free.any()) for level in levels) > 1
 
-    @staticmethod
-    def generated(monkeypatch) -> list[int]:
-        """The (state, action) cells each ``_enabled`` call lets through."""
-        monkeypatch.setattr(_engine, "PAIRED", False)
-        cells = []
-        enabled = _engine._enabled
-
-        def counted(*args):
-            out = enabled(*args)
-            cells.append(len(out))
-            return out
-
-        monkeypatch.setattr(_engine, "_enabled", counted)
-        return cells
-
-    def test_bank_one_generates_at_most_two_thirds_of_its_cells(self, monkeypatch):
+    def test_bank_one_generates_at_most_two_thirds_of_its_cells(self):
         """Without the lemma, bank 1 q1 generates 8,739,253 children."""
-        cells = self.generated(monkeypatch)
-        policy, query = TestLevelChunks.bank_one()
-        verdict = reach(policy, query)
+        verdict, levels = one_thread(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
-        assert sum(cells) <= 0.65 * 8_739_253
+        assert sum(level.work.cells for level in levels) <= 0.65 * 8_739_253
 
-    def test_a_wide_witness_search_generates_under_half_its_cells(self, monkeypatch):
+    def test_a_wide_witness_search_generates_under_half_its_cells(self):
         """Bank 3 with branch 1's clerk rule weakened generates 1,229,636
         children without the lemma."""
-        cells = self.generated(monkeypatch)
-        bank = mutate_bank(generate_bank(BankConfig(branches=3, instrumentation="both")), 1)
-        query = SafetyQuery("newUser", "TargetQ1")
-        verdict = reach(bank, query)
+        bank, query = wide_witness_bank(), SafetyQuery("newUser", "TargetQ1")
+        verdict, levels = one_thread(bank, query)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
-        assert sum(cells) <= 0.45 * 1_229_636
+        assert sum(level.work.cells for level in levels) <= 0.45 * 1_229_636
 
     def test_keep_builds_in_little_more_than_its_size(self):
         """The unsliced hierarchical bank-18 program (5,185 actions, 594
         roles) builds keep from per-bit bitsets, without an (A, A) array
         or the tested words of all its flips."""
-        policy = generate_bank(
-            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
-        )
-        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
-        tracemalloc.start()
-        try:
-            keep = _engine._keep(program)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert keep.shape == (5186, 82)
+        _, keep, peak = traced_build(_engine._keep)
+        assert keep.shape == (5185, 82)
         assert peak < 2 * keep.nbytes
 
 
@@ -1320,39 +1321,34 @@ def as_int(row) -> int:
     return int.from_bytes(np.ascontiguousarray(row).astype("<u8").tobytes(), "little")
 
 
+@functools.lru_cache(maxsize=None)
+def flags_checked(policy, query) -> None:
+    """Check once that the first run's free flags are clear before the table
+    and equal ``reference_undo``'s rule, carried from level 0, from it on."""
+    levels, n_act, start = search_levels(policy, query, 4, False)
+    rule = reference_undo(policy, query)[1]
+    expected, offset = [True], 0  # the initial state is free
+    for d, level in enumerate(levels):
+        if d:
+            expected = [rule(expected[cell // n_act - offset], as_int(state), cell % n_act)
+                        for cell, state in zip(level.cells.tolist(), level.states)]
+            offset += len(levels[d - 1].states)
+        assert level.free.tolist() == [flag and d >= start for flag in expected], d
+
+
+@functools.lru_cache(maxsize=None)
+def free_children_checked(policy, query) -> None:
+    """Check once that no state of the first run with a free parent was visited."""
+    levels, n_act, _ = search_levels(policy, query, 4, False)
+    known = row_keys(levels[0].states)
+    for level, free in zip(levels[1:], parent_free(levels, n_act)):
+        assert not np.isin(row_keys(level.states[free]), known).any()  # by sorted keys
+        known = np.concatenate((known, row_keys(level.states)))
+
+
 class TestUndoLemma:
     """A free state takes only the actions that move their bit away from
     init; the result stays that of the FIFO search."""
-
-    @staticmethod
-    def check_flags(monkeypatch):
-        """Check the free flags of every level ``_expand`` reads against
-        ``reference_undo``'s rule carried from level 0: equal on levels
-        that have the enable table, all clear before. Set ``rule[0]`` to
-        the rule of the policy searched next; returns (rule, levels
-        checked with a table)."""
-        rule, checked, before = [None], [0], []
-        expand = _engine._expand
-
-        def checking(program, frontier, free, came, known, n_act, highs, table, *rest):
-            states = [as_int(row) for row in frontier]
-            if came is None:
-                expected = [True]
-            else:
-                expected = [
-                    rule[0](before[int(cell) // n_act], state, int(cell) % n_act)
-                    for cell, state in zip(came, states)
-                ]
-            if table is None:
-                assert not free.any()
-            else:
-                assert free.tolist() == expected
-                checked[0] += 1
-            before[:] = expected
-            return expand(program, frontier, free, came, known, n_act, highs, table, *rest)
-
-        monkeypatch.setattr(_engine, "_expand", checking)
-        return rule, checked
 
     def test_g_matches_the_pairwise_build(self):
         """On every corpus program (flat, hierarchical and three words
@@ -1381,18 +1377,9 @@ class TestUndoLemma:
         """The unsliced hierarchical bank-18 program (5,185 actions, 594
         roles in 10 words, 594 grantors) builds G from per-bit lists,
         without an (A, K, T) array of actions, grantors and tested words."""
-        policy = generate_bank(
-            BankConfig(branches=18, instrumentation="both", hierarchy_mode="hierarchical")
-        )
-        program = _compile_masks(policy, SafetyQuery("newUser", "Admin"), *whole(policy))
-        tracemalloc.start()
-        try:
-            undo = _engine._undo(program)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        program, undo, peak = traced_build(_engine._undo)
         assert undo.shape == (5185, 10) and len(program.closure) == 594
-        assert peak < 2 * 5186 * 82 * 8  # twice the keep table
+        assert peak < 2 * 5185 * 82 * 8  # twice the keep table
         assert np.array_equal(undo & program.flip, program.flip)
 
     @pytest.mark.parametrize("paired", [False, True])
@@ -1400,39 +1387,14 @@ class TestUndoLemma:
     def test_searches_and_flags_match_the_reference(self, cells, paired, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
         monkeypatch.setattr(_engine, "PAIRED", paired)
-        rule, checked = self.check_flags(monkeypatch)
-        instances = TestSleepLemma.corpus()
-        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
-        for target in ("FA-Clerk@1", "FA@2"):
-            query = SafetyQuery("newUser", target)
-            instances.append((slice_policy(bank, query), query))
-        for policy, query in instances + [(SENIOR, Q_T), (HELD, Q_T)]:
-            rule[0] = reference_undo(policy, query)[1]
+        checked = 0  # flags the table sets
+        instances = TestSleepLemma.corpus() + hierarchical_slices() + [(SENIOR, Q_T), (HELD, Q_T)]
+        for policy, query in instances:
             assert_matches_reference(policy, query, LIMITS[::5])
-        assert checked[0] >= {4: 1000, 64: 10}.get(cells, 0)
-
-    @staticmethod
-    def check_free_children(monkeypatch):
-        """Check every child that ``_expand`` queues from a free parent
-        against a reference set of the states of the search's earlier and
-        current levels: none may be among them. Returns a one-item list
-        counting the children checked."""
-        seen, checked = set(), [0]
-        expand = _engine._expand
-
-        def checking(program, frontier, free, came, known, n_act, *rest):
-            if came is None:  # level 0: a new search
-                seen.clear()
-            seen.update(as_int(row) for row in frontier)
-            out = expand(program, frontier, free, came, known, n_act, *rest)
-            children, cells = out[0], out[1]
-            for child in children[free[cells // n_act]]:
-                assert as_int(child) not in seen
-                checked[0] += 1
-            return out
-
-        monkeypatch.setattr(_engine, "_expand", checking)
-        return checked
+            levels, _, start = same_levels(policy, query, cells, paired)
+            flags_checked(policy, query)
+            checked += sum(len(level.free) for level in levels[start:])
+        assert checked >= {4: 1000, 64: 10}.get(cells, 0)
 
     @pytest.mark.parametrize("paired", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
@@ -1441,18 +1403,15 @@ class TestUndoLemma:
         reference."""
         monkeypatch.setattr(_engine, "CELLS", cells)
         monkeypatch.setattr(_engine, "PAIRED", paired)
-        checked = self.check_free_children(monkeypatch)
+        checked = 0  # children of free parents
         instances = TestSleepLemma.corpus() + [(DETOUR, Q_T), (SENIOR, Q_T), (HELD, Q_T)]
-        bank = generate_bank(BankConfig(branches=2, hierarchy_mode="hierarchical"))
-        for target in ("FA-Clerk@1", "FA@2"):
-            query = SafetyQuery("newUser", target)
-            instances.append((slice_policy(bank, query), query))
-        bank = generate_bank(BankConfig(branches=3, instrumentation="both"))
-        sliced = slice_policy(mutate_bank(bank, 1), SafetyQuery("newUser", "TargetQ1"))
-        instances.append((sliced, SafetyQuery("newUser", "AnyFour_1")))
+        instances += hierarchical_slices() + [wide_witness_slice()]
         for policy, query in instances:
-            assert reach(policy, query, use_slicing=False) == fifo_reach(policy, query)
-        assert checked[0] >= {4: 1000, 64: 100}.get(cells, 0)
+            assert reach(policy, query, use_slicing=False) == fifo_reach(policy, query, LIMITS[0])
+            levels, n_act, _ = same_levels(policy, query, cells, paired)
+            free_children_checked(policy, query)
+            checked += sum(int(free.sum()) for free in parent_free(levels, n_act))
+        assert checked >= {4: 1000, 64: 100}.get(cells, 0)
 
     @pytest.mark.parametrize("cells", [1, 4])
     @pytest.mark.parametrize("policy", [SENIOR, HELD], ids=["senior", "held"])
@@ -1482,7 +1441,7 @@ class TestUndoLemma:
         differs = []
         for seed in range(500):
             policy, query = random_policy(seed)
-            expected = fifo_reach(policy, query)
+            expected = fifo_reach(policy, query, SearchLimits())
             for variant in ({}, {mutant: True}):
                 table, _ = reference_undo(policy, query, **variant)
                 words = len(_compile_masks(policy, query, *whole(policy)).init)
@@ -1496,17 +1455,14 @@ class TestUndoLemma:
                     differs.append(seed)
         assert differs
 
-    def test_bank_one_generates_a_quarter_of_its_cells(self, monkeypatch):
+    def test_bank_one_generates_a_quarter_of_its_cells(self):
         """With the sleep lemma alone, bank 1 q1 generates 5,508,078
         children and looks 1,564,276 of them up among the visited keys,
         finding every one: each comes from a step back toward init."""
-        cells = TestSleepLemma.generated(monkeypatch)
-        lookups = TestDistanceLemma.count_lookups(monkeypatch)
-        policy, query = TestLevelChunks.bank_one()
-        verdict = reach(policy, query)
+        verdict, levels = one_thread(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
-        assert sum(cells) <= 0.25 * 5_508_078
-        assert sum(keys for keys, *_ in lookups) <= 0.01 * 1_564_276
+        assert sum(level.work.cells for level in levels) <= 0.25 * 5_508_078
+        assert sum(level.work.looked_up for level in levels) <= 0.01 * 1_564_276
 
 
 class TestOracle:

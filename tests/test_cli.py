@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -187,6 +188,18 @@ class TestCheck:
         assert (record["verdict"], record["exhausted"], record["statesExplored"]) == (
             "unknown", False, 3)
         assert "Traceback" not in err and len(calls) == 3
+
+    def test_running_out_of_memory_building_the_tables_exits_3(self, tmp_path, capsys):
+        """Bank 1 q1 builds its enable table at level 8, after 4,877 states."""
+        policy = generate_bank(BankConfig(branches=1, instrumentation="q1"))
+        path = write(tmp_path, serialize_policy(policy))
+        with mock.patch("arbac._engine._enable_table", side_effect=MemoryError):
+            assert main(["check", path, "--json"]) == 3
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert (record["verdict"], record["exhausted"], record["statesExplored"]) == (
+            "unknown", False, 4_877)
+        assert "Traceback" not in err
 
     def test_human_report_keeps_stdout_clean(self, tmp_path, capsys):
         path = write(tmp_path, CHAIN_TEXT)
