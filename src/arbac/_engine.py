@@ -11,11 +11,10 @@ into the sorted keys of visited states drops the visited ones (but for
 a free state's children, which the undo lemma below shows unvisited).
 
 ``levels`` yields the FIFO queue one ``Level`` at a time (its states,
-cells, free flags, goal hit and ``Work``), and ``search`` reads its
-result off them: the goal test, ``max_states``, ``max_depth``, the
-witness path, and a ``MemoryError``, which drops the level being built.
-Each chunk counts its cells and lookups with one ``list.append``, so
-the worker's chunk counts even when ``_level`` drops it.
+cells, free flags, goal hit and ``Work``) up to ``max_depth``, and
+``search`` reads its result off them: the goal test, ``max_states``,
+the witness path, and a ``MemoryError``, which drops the level being
+built.
 
 An action passes when ``(words & test) == need`` holds on every tested
 word: the state's role bits, then one authorization bit per role that
@@ -46,7 +45,9 @@ occurrence in the (parent, action) enumeration of level d. ``nonzero``
 over a frontier kept in queue order lists the children in exactly that
 order, row-major, so the first occurrence kept here is the one the FIFO
 search enqueued, with the same parent and action, and selecting the
-kept ones from that list by a mask keeps them in queue order. The goal
+kept ones from that list by a mask keeps them in queue order. A level's
+chunks are expanded one after another in queue order, so together they
+list the children as one pass over the frontier would. The goal
 test and the ``max_states`` cap then only need a state's position in
 the queue, and ``max_depth`` only its level. A chunk that yields an
 unvisited goal state ends the level early: every state queued before
@@ -59,21 +60,6 @@ chunks bound the level's distinct count from above; the exact count
 takes a merge of the chunks so far, made only when that bound exceeds
 the cap and has doubled since the last merge, so a level merges a
 logarithmic number of times, not once per chunk.
-
-Chunk lemma: expanding a chunk reads only the frontier, its cells and
-flags, the visited keys, the program, the enable table, ``keep``,
-``bars`` and ``highs``, none of which changes during a level, so the
-chunks of a level are independent work.
-Taking their results in chunk order lists the children exactly as one
-pass over the frontier would, so the ordering lemma holds however the
-chunks are expanded. With two CPUs, one worker thread expands every
-other chunk of a level while this thread expands the one before it. It
-holds one chunk at a time, and ``_expand`` waits for it before
-returning. Memory rule: every thread has its own malloc arena, which
-keeps what the thread freed. So there is one worker for the life of the
-process, started the first time a level spans two chunks, and its
-results are copied into this thread's arrays: its arena then holds no
-more than one chunk's scratch memory.
 
 Distance lemma: every action flips exactly one bit, an assign needing
 its target absent and a revoke needing it held. So a state first queued
@@ -154,27 +140,13 @@ first occurrence.
 
 from __future__ import annotations
 
-import os
-import threading
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 # (state, action) cells per frontier chunk: states x actions
 CELLS = 1 << 20
-
-# whether a worker thread expands every other chunk of a level: on one
-# CPU it gains no time and adds a malloc arena, about 6 MiB of peak RSS
-PAIRED = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-) >= 2
-
-# the worker's executor, made when a level first spans two chunks: one
-# thread for the life of the process, so one malloc arena
-_workers: list = []
-_worker_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
-    os.register_at_fork(after_in_child=_workers.clear)
 
 
 class SearchResult(NamedTuple):
@@ -188,7 +160,7 @@ class Work(NamedTuple):
 
     cells: int  # (state, action) cells its chunks generated
     looked_up: int  # children its chunks looked up among the visited keys
-    chunks: int  # chunks expanded, a worker's dropped one included
+    chunks: int  # chunks expanded
     merges: int  # merges of the chunks' results
 
 
@@ -490,37 +462,9 @@ def _expand(program: Program, frontier: np.ndarray, free: np.ndarray, came: np.n
             free_children &= ~apart.any(axis=1)
         return children, cells + (offset + lo) * n_act, free_children, keys[fresh]
 
-    starts = range(0, len(frontier), rows)
-    chunks = _in_pairs(expand, starts) if len(starts) > 1 and PAIRED else map(expand, starts)
+    chunks = map(expand, range(0, len(frontier), rows))
     states, cells, free, keys, hit, merges = _level(chunks, program.goal, highs, room)
     return Level(states, cells, free, hit, Work(*map(sum, zip(*done)), len(done), merges)), keys
-
-
-def _worker():
-    """The executor of the one worker thread, made on first use."""
-    with _worker_lock:
-        if not _workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _workers.append(ThreadPoolExecutor(1))
-        return _workers[0]
-
-
-def _in_pairs(expand, starts: range):
-    """``map(expand, starts)``, the worker expanding each odd chunk
-    while this thread expands the even one before it. Both are done
-    before either is yielded, and the worker's arrays are copied into
-    this thread's."""
-    for i in range(0, len(starts), 2):
-        theirs = _worker().submit(expand, starts[i + 1]) if i + 1 < len(starts) else None
-        try:
-            ours = expand(starts[i])
-        finally:  # even if this thread failed, the worker's chunk ends here
-            if theirs is not None:
-                theirs = [a.copy() for a in theirs.result()]  # re-raises its error
-        yield ours
-        if theirs is not None:
-            yield theirs
 
 
 def _level(chunks, goal: np.ndarray, highs: list[int], room: int | None):
@@ -596,10 +540,12 @@ def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
     return ids
 
 
-def levels(program: Program, max_states: int | None):
+def levels(program: Program, max_states: int | None, max_depth: int | None):
     """The FIFO search's queue level by level, up to one that is empty,
     meets the goal, or holds more states than ``max_states`` (None: no
-    cap) leaves to pop; each with the free flags its expansion reads."""
+    cap) leaves to pop; each with the free flags its expansion reads.
+    A level past ``max_depth`` (None: no limit) is yielded only when
+    empty, as the search pops none of its states."""
     n_act = max(1, len(program.flip))
     # a state holds only initial and flipped bits
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
@@ -611,8 +557,10 @@ def levels(program: Program, max_states: int | None):
     # the sorted keys of the visited levels of the level's parity, then the other's
     visited, keys = [_keys(init[:0])] * 2, _keys(init)
     cells, offset = [], 0  # parent * A + action per queue position; the level's position
-    while True:
+    for depth in itertools.count():
         n = len(level.states)
+        if n and max_depth is not None and depth > max_depth:
+            return
         room = None if max_states is None else max_states - offset - n
         last = level.hit or not n or room is not None and room < 0
         cells.append(level.cells)
@@ -643,10 +591,10 @@ def search(program: Program, max_states: int | None, max_depth: int | None) -> S
     n_act = max(1, len(program.flip))
     cells, offset = [], 0  # parent * A + action per queue position; the level's position
     try:
-        for depth, level in enumerate(levels(program, max_states)):
+        for level in levels(program, max_states, max_depth):
             n = len(level.states)
-            if not n or max_depth is not None and depth > max_depth:
-                return SearchResult(None, offset, n > 0)
+            if not n:
+                return SearchResult(None, offset, False)
             popped = n if max_states is None else min(n, max_states - offset)
             cells.append(level.cells)
             if level.hit:
@@ -659,3 +607,4 @@ def search(program: Program, max_states: int | None, max_depth: int | None) -> S
             offset += n
     except MemoryError:
         return SearchResult(None, offset, True)
+    return SearchResult(None, offset, True)  # level max_depth + 1 holds states

@@ -9,7 +9,6 @@ import functools
 import math
 import random
 import threading
-import time
 import tracemalloc
 from unittest import mock
 
@@ -401,6 +400,18 @@ class TestLimits:
         assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
         assert verdict.states_explored == 4_877
 
+    def test_a_level_past_max_depth_builds_no_table(self):
+        """Bank 1 q1 first fills a chunk at level 8. Under ``max_depth`` 7
+        the search pops the 4,877 states of levels 0-7 and never expands
+        level 8, so it builds no enable table; under 8 it builds one."""
+        built = []  # per max_depth: the tables built and the states popped
+        for max_depth in (7, 8):
+            with mock.patch.object(_engine, "_enable_table", wraps=_engine._enable_table) as table:
+                verdict = reach(*TestLevelChunks.bank_one(), SearchLimits(max_depth=max_depth))
+            assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
+            built.append((table.call_count, verdict.states_explored))
+        assert built[0] == (0, 4_877) and built[1][0] == 1
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_limits_must_be_positive(self, bad):
         with pytest.raises(ValueError):
@@ -718,28 +729,34 @@ class TestEngine:
 
 
 @functools.lru_cache(maxsize=None)
-def search_levels(policy, query, cells: int, paired: bool):
-    """Every level of ``reach(policy, query, use_slicing=False)``'s uncapped
-    search at ``cells`` per chunk, ``paired`` or not, its action count, and
-    the level that builds the enable table (the first but the last that
-    fills a chunk, or none). At 4 cells on one thread: the first run."""
+def search_levels(policy, query, cells: int, capped: bool):
+    """Every level of ``reach(policy, query, use_slicing=False)``'s search
+    at ``cells`` per chunk, uncapped or ``capped`` at the states the first
+    run queues (a cap the search fills exactly, so each level counts its
+    children against all the room it has), its action count, and the level
+    that builds the enable table (the first but the last that fills a
+    chunk, or none). At 4 cells uncapped: the first run."""
+    max_states = None
+    if capped:
+        max_states = sum(len(level.states) for level in search_levels(policy, query, 4, False)[0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_engine, "CELLS", cells)
-        patch.setattr(_engine, "PAIRED", paired)
         program = _compile_masks(policy, query, *whole(policy))
-        levels = list(_engine.levels(program, None))
+        levels = list(_engine.levels(program, max_states, None))
     n_act = max(1, len(program.flip))
     fills = (d for d, level in enumerate(levels[:-1]) if len(level.states) * n_act >= cells)
     return levels, n_act, next(fills, len(levels))
 
 
 @functools.lru_cache(maxsize=None)
-def same_levels(policy, query, cells: int, paired: bool):
+def same_levels(policy, query, cells: int, capped: bool):
     """``search_levels`` at 4 or more cells, checked once against the first
-    run by the chunk lemma: the same hit, states and cells on every level
-    (the shorter one's on a level that meets the goal, which ends at the
-    chunk that found it), and the same free flags from the table on."""
-    levels, n_act, start = search_levels(policy, query, cells, paired)
+    run, as chunks taken in queue order list the children of one pass and
+    a cap the search fills cuts no level: the same hit, states and cells on
+    every level (the shorter one's on a level that meets the goal, which
+    ends at the chunk that found it), and the same free flags from the
+    table on."""
+    levels, n_act, start = search_levels(policy, query, cells, capped)
     first = search_levels(policy, query, 4, False)[0]
     assert len(levels) == len(first)
     for d, (level, expected) in enumerate(zip(levels, first)):
@@ -783,33 +800,15 @@ def wide_witness_slice():
 
 
 @functools.lru_cache(maxsize=None)
-def one_thread(policy, query):
-    """``reach``'s verdict on ``query`` and the levels of its search, on one thread."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_engine, "PAIRED", False)
-        program = _compile_masks(policy, query, *_cone(policy, query))
-        return reach(policy, query), list(_engine.levels(program, None))
+def reach_levels(policy, query):
+    """``reach``'s verdict on ``query`` and the levels of its search."""
+    program = _compile_masks(policy, query, *_cone(policy, query))
+    return reach(policy, query), list(_engine.levels(program, None, None))
 
 
 class TestLevelChunks:
-    """The chunk loop of one BFS level: the stop at the state cap, and
-    the worker thread that expands every other chunk."""
-
-    @staticmethod
-    def record_worker(monkeypatch):
-        """The futures of the chunks handed to the worker, which still
-        expands them; it never holds more than one."""
-        futures = []
-        worker = _engine._worker
-
-        class Recording:
-            def submit(self, fn, *args):
-                assert all(future.done() for future in futures)
-                futures.append(worker().submit(fn, *args))
-                return futures[-1]
-
-        monkeypatch.setattr(_engine, "_worker", Recording)
-        return futures
+    """The chunk loop of one BFS level: chunks taken in queue order, the
+    stop at the state cap, and the merges of the chunks' results."""
 
     @staticmethod
     @functools.cache
@@ -822,20 +821,21 @@ class TestLevelChunks:
         policy, query = TestLevelChunks.bank_one()
         return _compile_masks(policy, query, *_cone(policy, query))
 
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_a_capped_level_stops_at_the_cap(self, paired, monkeypatch):
-        """Under a 197,000-state cap, bank 1 q1 pops 558 states of the
-        level after its 80,000-state frontier (21 chunks). The first
-        chunk already queues more, so no later chunk is taken; the
-        worker's chunk, expanded beside it, is dropped."""
-        monkeypatch.setattr(_engine, "PAIRED", paired)
-        verdict = reach(*self.bank_one(), SearchLimits(max_states=197_000))
+    @pytest.mark.parametrize("at_depth", [False, True])
+    def test_a_capped_level_stops_at_the_cap(self, at_depth):
+        """Under a 197,000-state cap, bank 1 q1 pops 558 states of level
+        13, after its 80,000-state frontier (21 chunks). The first chunk
+        already queues more, so no later chunk is expanded. A ``max_depth``
+        of 13 (``at_depth``) still expands that level."""
+        max_depth = 13 if at_depth else None
+        verdict = reach(*self.bank_one(), SearchLimits(max_states=197_000, max_depth=max_depth))
         assert verdict.outcome is Outcome.UNKNOWN and verdict.states_explored == 197_000
         program = self.bank_one_program()
-        *_, frontier, level = _engine.levels(program, 197_000)
+        *before, frontier, level = _engine.levels(program, 197_000, max_depth)
+        assert len(before) == 12
         rows = _engine.CELLS // len(program.flip)
         assert -(-len(frontier.states) // rows) == 21
-        assert level.work.chunks == (2 if paired else 1)
+        assert level.work.chunks == 1
 
     @pytest.mark.parametrize("cells", [4, 64])
     def test_capped_searches_match_the_reference(self, cells, monkeypatch):
@@ -894,8 +894,7 @@ class TestLevelChunks:
         and merging the chunks so far once per chunk would cost a sort
         of the level per chunk."""
         monkeypatch.setattr(_engine, "CELLS", 1 << 16)
-        monkeypatch.setattr(_engine, "PAIRED", False)
-        levels = list(_engine.levels(self.bank_one_program(), 1 + 27**4))
+        levels = list(_engine.levels(self.bank_one_program(), 1 + 27**4, None))
         # the search exhausts the states at the cap
         assert not len(levels[-1].states) and sum(len(lv.states) for lv in levels) == 1 + 27**4
         work = [level.work for level in levels[1:]]
@@ -905,102 +904,62 @@ class TestLevelChunks:
             assert w.merges <= 1 + math.log2(w.chunks), w
 
     @pytest.mark.parametrize("cells", [4, 64])
-    def test_paired_and_inline_chunks_agree(self, cells, monkeypatch):
+    def test_limited_searches_match_the_reference(self, cells, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
-        handed = self.record_worker(monkeypatch)
-        instances = [(*random_policy(seed), LIMITS) for seed in range(0, 60, 3)]
-        instances += [(policy, query, LIMITS[::3]) for policy, query in hierarchical_slices()]
-        for policy, query, limits_list in instances:
-            program = _compile_masks(policy, query, *whole(policy))
-            for limits in limits_list:
-                results = []
-                for paired in (False, True):
-                    monkeypatch.setattr(_engine, "PAIRED", paired)
-                    results.append(_engine.search(program, limits.max_states, limits.max_depth))
-                    actual = reach(policy, query, limits, use_slicing=False)
-                    assert actual == fifo_reach(policy, query, limits), limits
-                assert results[0] == results[1], limits
-        assert handed
+        for seed in range(0, 60, 3):
+            assert_matches_reference(*random_policy(seed))
+        for policy, query in hierarchical_slices():
+            assert_matches_reference(policy, query, LIMITS[::3])
 
-    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
-    def test_levels_do_not_depend_on_the_chunks(self, cells, paired):
-        """The chunk lemma, level by level (see ``same_levels``), on the
-        corpus and the hierarchical bank-2 slices."""
+    def test_levels_do_not_depend_on_the_chunks(self, cells, capped):
+        """Level by level (see ``same_levels``), on the corpus and the
+        hierarchical bank-2 slices."""
         for policy, query in TestSleepLemma.corpus() + hierarchical_slices():
-            same_levels(policy, query, cells, paired)
+            same_levels(policy, query, cells, capped)
 
-    def test_one_worker_holds_one_chunk_done_before_expand_returns(self, monkeypatch):
-        monkeypatch.setattr(_engine, "CELLS", 64)
-        monkeypatch.setattr(_engine, "PAIRED", True)
-        handed = self.record_worker(monkeypatch)
-        lock = threading.Lock()
-        running, most, workers = set(), [0], set()
-        enabled = _engine._enabled
-
-        def watched_enabled(program, words, *rest):
-            me = threading.get_ident()
-            with lock:
-                running.add(me)
-                most[0] = max(most[0], len(running))
-                if threading.current_thread() is not threading.main_thread():
-                    workers.add(me)
-            try:
-                return enabled(program, words, *rest)
-            finally:
-                with lock:
-                    running.discard(me)
-
-        monkeypatch.setattr(_engine, "_enabled", watched_enabled)
-        policy = single_division_policy(mutated=True)
-        program = _compile_masks(policy, policy.queries[0], *whole(policy))
-        for _ in _engine.levels(program, None):
-            assert all(future.done() for future in handed)
-        assert_matches_reference(policy, policy.queries[0], LIMITS[::5])
-        assert len(handed) > 1 and len(workers) == 1 and most[0] <= 2
-
-    @pytest.mark.parametrize("failing_thread", ["worker", "main"])
-    def test_an_error_ends_the_level_after_the_workers_chunk(self, failing_thread, monkeypatch):
-        """An error in either thread reaches the caller of ``reach``, and
-        only once the worker's chunk is done."""
+    def test_an_error_in_a_chunk_reaches_the_caller(self, monkeypatch):
+        """An error raised while a level of several chunks is expanded
+        reaches the caller of ``reach``, and the next search succeeds."""
 
         class ChunkFailed(Exception):
             pass
 
-        monkeypatch.setattr(_engine, "CELLS", 4)
-        monkeypatch.setattr(_engine, "PAIRED", True)
-        handed = self.record_worker(monkeypatch)
-        enabled = _engine._enabled
+        enabled, chunks = _engine._enabled, []  # the rows of each chunk
 
         def failing(program, words, *rest):
-            on_main = threading.current_thread() is threading.main_thread()
-            if on_main == (failing_thread == "main") and handed:
+            chunks.append(len(words))
+            if len(chunks) == 15:  # the 6th of a level's 20 chunks
                 raise ChunkFailed
-            if not on_main:
-                time.sleep(0.05)  # still busy when this thread fails
             return enabled(program, words, *rest)
 
+        monkeypatch.setattr(_engine, "CELLS", 4)
         policy = single_division_policy()
         with monkeypatch.context() as patched:
             patched.setattr(_engine, "_enabled", failing)
             with pytest.raises(ChunkFailed):
                 reach(policy, policy.queries[0], use_slicing=False)
-        assert handed and all(future.done() for future in handed)
-        # the worker survives the error
+        assert len(chunks) == 15
         assert_matches_reference(policy, policy.queries[0], LIMITS[:1])
 
     def test_hierarchical_bank_queries_start_no_thread(self, monkeypatch):
-        """Every level of the 595 hierarchical bank-18 role queries fits
-        one chunk, so even with two cores no worker starts."""
-        monkeypatch.setattr(_engine, "PAIRED", True)
+        """The 595 hierarchical bank-18 role queries expand every chunk on
+        the calling thread and leave no thread behind."""
         policy = hierarchical_bank_18()
         roles = [r for r in policy.roles if "@" in r or r == ADMIN_ROLE]
         assert len(roles) == 595
-        handed = self.record_worker(monkeypatch)
+        enabled, threads = _engine._enabled, set()
+
+        def watched_enabled(*args):
+            threads.add(threading.get_ident())
+            return enabled(*args)
+
+        monkeypatch.setattr(_engine, "_enabled", watched_enabled)
         before = threading.active_count()
         for role in roles:
             reach(policy, SafetyQuery("newUser", role))
-        assert handed == [] and threading.active_count() == before
+        assert threads == {threading.get_ident()} and threading.active_count() == before
 
 
 # a role assigned and revoked again on the way to T: +A +B -A -C +T
@@ -1091,11 +1050,10 @@ class TestDistanceLemma:
         ]
         assert_matches_reference(DETOUR, Q_T, caps)
 
-    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
-    def test_every_queued_state_obeys_the_lemma(self, cells, paired, monkeypatch):
+    def test_every_queued_state_obeys_the_lemma(self, cells, capped, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
-        monkeypatch.setattr(_engine, "PAIRED", paired)
         for seed in range(0, 500, 5):
             assert_matches_reference(*random_policy(seed), LIMITS[::5])
         sliced, query = wide_witness_slice()
@@ -1108,7 +1066,7 @@ class TestDistanceLemma:
         checked = depth = frees = 0  # levels and free states checked
         instances = TestSleepLemma.corpus() + [wide_witness_slice()] + hierarchical_slices()
         for policy, query in instances:
-            levels = same_levels(policy, query, cells, paired)[0]
+            levels = same_levels(policy, query, cells, capped)[0]
             distance_checked(policy, query)
             checked += len(levels)
             depth = max(depth, len(levels) - 1)
@@ -1118,10 +1076,9 @@ class TestDistanceLemma:
 
     def test_bank_one_looks_up_at_most_half_its_children(self):
         """Looking every distinct child up among all visited keys takes
-        3,193,818 lookups on bank 1 q1, into 307,502 keys on average; on
-        one thread, a free state's children skip theirs and 14,241 are
-        left."""
-        verdict, levels = one_thread(*TestLevelChunks.bank_one())
+        3,193,818 lookups on bank 1 q1, into 307,502 keys on average; once
+        a free state's children skip theirs, 14,241 are left."""
+        verdict, levels = reach_levels(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
         looked = sum(level.work.looked_up for level in levels)
         assert looked <= 3_193_818 // 2
@@ -1135,9 +1092,9 @@ class TestDistanceLemma:
     def test_a_wide_witness_search_looks_up_a_tenth_of_its_children(self):
         """Bank 3 with branch 1's clerk rule weakened: looking every
         distinct child up among all visited keys takes 575,709 lookups,
-        and 5,523 on one thread once a free state's children skip theirs."""
+        and 5,523 once a free state's children skip theirs."""
         bank, query = wide_witness_bank(), SafetyQuery("newUser", "TargetQ1")
-        verdict, levels = one_thread(bank, query)
+        verdict, levels = reach_levels(bank, query)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
         looked = sum(level.work.looked_up for level in levels)
@@ -1269,14 +1226,14 @@ class TestSleepLemma:
             reach(*random_policy(seed))
         assert built == []
         program = TestLevelChunks.bank_one_program()
-        levels = list(_engine.levels(program, None))
+        levels = list(_engine.levels(program, None, None))
         assert [len(keep) for keep in built] == [2 * len(program.flip)]
         # the levels after the table's take free rows: every state is free
         assert sum(bool(level.free.any()) for level in levels) > 1
 
     def test_bank_one_generates_at_most_two_thirds_of_its_cells(self):
         """Without the lemma, bank 1 q1 generates 8,739,253 children."""
-        verdict, levels = one_thread(*TestLevelChunks.bank_one())
+        verdict, levels = reach_levels(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
         assert sum(level.work.cells for level in levels) <= 0.65 * 8_739_253
 
@@ -1284,7 +1241,7 @@ class TestSleepLemma:
         """Bank 3 with branch 1's clerk rule weakened generates 1,229,636
         children without the lemma."""
         bank, query = wide_witness_bank(), SafetyQuery("newUser", "TargetQ1")
-        verdict, levels = one_thread(bank, query)
+        verdict, levels = reach_levels(bank, query)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 9
         assert verdict.states_explored == 266_539 and replay(bank, query, verdict.witness)
         assert sum(level.work.cells for level in levels) <= 0.45 * 1_229_636
@@ -1382,33 +1339,31 @@ class TestUndoLemma:
         assert peak < 2 * 5185 * 82 * 8  # twice the keep table
         assert np.array_equal(undo & program.flip, program.flip)
 
-    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
-    def test_searches_and_flags_match_the_reference(self, cells, paired, monkeypatch):
+    def test_searches_and_flags_match_the_reference(self, cells, capped, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
-        monkeypatch.setattr(_engine, "PAIRED", paired)
         checked = 0  # flags the table sets
         instances = TestSleepLemma.corpus() + hierarchical_slices() + [(SENIOR, Q_T), (HELD, Q_T)]
         for policy, query in instances:
             assert_matches_reference(policy, query, LIMITS[::5])
-            levels, _, start = same_levels(policy, query, cells, paired)
+            levels, _, start = same_levels(policy, query, cells, capped)
             flags_checked(policy, query)
             checked += sum(len(level.free) for level in levels[start:])
         assert checked >= {4: 1000, 64: 10}.get(cells, 0)
 
-    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
-    def test_no_child_of_a_free_parent_was_visited(self, cells, paired, monkeypatch):
+    def test_no_child_of_a_free_parent_was_visited(self, cells, capped, monkeypatch):
         """So skipping their lookup keeps the search that of the FIFO
         reference."""
         monkeypatch.setattr(_engine, "CELLS", cells)
-        monkeypatch.setattr(_engine, "PAIRED", paired)
         checked = 0  # children of free parents
         instances = TestSleepLemma.corpus() + [(DETOUR, Q_T), (SENIOR, Q_T), (HELD, Q_T)]
         instances += hierarchical_slices() + [wide_witness_slice()]
         for policy, query in instances:
             assert reach(policy, query, use_slicing=False) == fifo_reach(policy, query, LIMITS[0])
-            levels, n_act, _ = same_levels(policy, query, cells, paired)
+            levels, n_act, _ = same_levels(policy, query, cells, capped)
             free_children_checked(policy, query)
             checked += sum(int(free.sum()) for free in parent_free(levels, n_act))
         assert checked >= {4: 1000, 64: 100}.get(cells, 0)
@@ -1459,7 +1414,7 @@ class TestUndoLemma:
         """With the sleep lemma alone, bank 1 q1 generates 5,508,078
         children and looks 1,564,276 of them up among the visited keys,
         finding every one: each comes from a step back toward init."""
-        verdict, levels = one_thread(*TestLevelChunks.bank_one())
+        verdict, levels = reach_levels(*TestLevelChunks.bank_one())
         assert verdict.outcome is Outcome.UNREACHABLE and verdict.states_explored == 1 + 27**4
         assert sum(level.work.cells for level in levels) <= 0.25 * 5_508_078
         assert sum(level.work.looked_up for level in levels) <= 0.01 * 1_564_276

@@ -520,6 +520,9 @@ class TestEntryPoints:
         assert setting == (preset or "1")
 
     def test_the_worker_pool_loads_only_with_a_wide_level(self):
+        """Importing the CLI and the analyzer loads no worker pool; the
+        test below checks that no search, however wide its levels, loads
+        one either."""
         code = (
             "import sys, arbac.cli, arbac.analyzer\n"
             "assert 'concurrent.futures' not in sys.modules\n"
@@ -529,6 +532,26 @@ class TestEntryPoints:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_a_search_of_wide_levels_starts_no_thread(self, tmp_path):
+        """``check`` on bank 1 q1, whose levels span up to 27 chunks,
+        expands every chunk on the thread it started with."""
+        policy = generate_bank(BankConfig(branches=1, instrumentation="q1"))
+        path = write(tmp_path, serialize_policy(policy))
+        code = (
+            "import os, sys\n"
+            "from arbac.cli import main\n"
+            f"assert main(['check', {path!r}]) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
 
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
         """``check --json | head -1``: a thousand queries print more than
