@@ -89,18 +89,18 @@ state). Earlier levels drop nothing, which the lemma allows, as it
 holds for any subset of the cells it drops.
 
 Undo lemma: call an action back when it moves its bit toward ``init``,
-and let U hold the bits some back action flips. G[b] holds b's own bit
-and every bit x that can be restored to its initial value while b, or a
-sibling of b, stays enabled. Restoring x clears only bits of its effect
-(as in the sleep lemma) if x starts absent, and sets only such bits if
-it starts held; so b stays enabled when x's effect misses the bits b
-needs held, or those it needs clear, respectively. A sibling of b is an
-action with b's flip and test rows whose need row is b's with x's bit at
-its initial value; when x grants no other role and no other role grants
-it, restoring x changes only that bit, so the sibling stays enabled. The
-initial state is free, and a state q first queued by (p, b) is free when
-p is free and every bit of U in which q differs from ``init`` lies in
-G[b]. Claim: if q is free at level d and x is such a bit, then q with x
+and let U hold the bits some back action flips. Call a role plain when
+it has no authorization bit to set: it grants no other role and no
+other role grants it, so restoring it to its initial value changes only
+its own bit. G[b] holds b's own bit and every plain bit x that can be
+restored while b, or a sibling of b, stays enabled: b does exactly when
+it does not need x away from ``init``, and a sibling of b is an action
+with b's flip and test rows whose need row is b's with x's bit at its
+initial value. A role with an authorization bit is in no G[b] but its
+own actions' (the claim below holds for any smaller G). The initial
+state is free, and a state q first queued by (p, b) is free when p is
+free and every bit of U in which q differs from ``init`` lies in G[b].
+Claim: if q is free at level d and x is such a bit, then q with x
 restored is reachable in d - 1 steps. If x is b's bit, that state is p.
 Otherwise p differs from ``init`` in x, so by induction p with x
 restored is reachable in d - 2 steps, where x in G[b] lets b or its
@@ -289,34 +289,18 @@ def _by_bit(actions: np.ndarray, bits: np.ndarray, n_bits: int):
 
 def _undo(program: Program) -> np.ndarray:
     """(A, W) uint64: row b is the undo lemma's G[b], b's own bit and
-    every bit x that can be restored to its initial value while b, or a
-    sibling of b, stays enabled."""
-    n_act, width = program.flip.shape
+    every plain bit x that can be restored to its initial value while b,
+    or a sibling of b, stays enabled."""
+    width = program.flip.shape[1]
     test, need = program.test.T, program.need.T  # (A, T)
-    # the role bits b needs away from their initial value: for a role that
-    # sets no authorization bit, its whole effect meets b's test there
-    bad = np.ascontiguousarray(test[:, :width] & (need[:, :width] ^ program.init))
     word, shift = program.grantors
-    at = word * 64 + shift.astype(np.intp)
-    if len(at):
-        # a grantor's effect also holds its closure row: restoring it
-        # clears those bits if it starts absent, so b must need none held,
-        # and sets them if it starts held, so b must need none clear
-        k, bit = _positions(program.closure)
-        starts_held = ((program.init[word[k]] >> shift[k]) & 1).astype(np.bool_)
-        for held, needs in ((False, need), (True, test & ~need)):
-            # per tested bit, the grantors with that initial value holding it
-            pick = starts_held == held
-            holders = set_bits((64 * len(program.test), width),
-                               bit[pick] * 64 * width + at[k[pick]])
-            b, bit_b = _positions(np.ascontiguousarray(needs))
-            if len(b):
-                starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-                bad[b[starts]] |= np.bitwise_or.reduceat(holders[bit_b], starts, axis=0)
-    undo = ~bad | program.flip
+    plain = ~set_bits((width,), word * 64 + shift.astype(np.intp))
+    # the role bits b needs away from their initial value
+    bad = np.ascontiguousarray(test[:, :width] & (need[:, :width] ^ program.init))
+    undo = ~bad & plain | program.flip
     # a sibling has b's flip and test rows and b's need row with x's bit at
-    # its initial value; x sets no authorization bit and has none
-    b, x = _positions(bad & ~set_bits((width,), at) & ~program.flip)
+    # its initial value
+    b, x = _positions(bad & plain & ~program.flip)
     if len(b):
         rows = np.ascontiguousarray(np.hstack((program.flip, test, need)))
         sibling = rows[b]
@@ -513,31 +497,26 @@ def _merge(parts: list, highs: list[int]):
     return (*(column[queued] for column in columns), keys)
 
 
+def _paths(cell: np.ndarray, at: np.ndarray, n_act: int):
+    """The actions along the paths of first-queuing cells from the queue
+    positions ``at``, all of one level, back to the initial state: one
+    array per step, last step first. ``cell`` holds parent * A + action
+    for every queue position."""
+    while at.any():  # every state of one level reaches position 0 at once
+        at, action = np.divmod(cell[at], n_act)
+        yield action
+
+
 def _free(program: Program, frontier: np.ndarray, cell: np.ndarray, bars: np.ndarray,
           n_act: int) -> np.ndarray:
     """The undo lemma's free flags of ``frontier``, the last level that
-    ``cell`` (parent * A + action per queue position) holds, checked
-    along each state's path back to the initial state."""
-    at = np.arange(len(cell) - len(frontier), len(cell))
+    ``cell`` holds, checked along each state's path."""
     apart = frontier ^ program.init  # where each path's state differs from init
     free = np.ones(len(frontier), np.bool_)
-    while at.any():  # every state of one level reaches position 0 at once
-        at, action = np.divmod(cell[at], n_act)
+    for action in _paths(cell, np.arange(len(cell) - len(frontier), len(cell)), n_act):
         free &= ~(apart & bars[action]).any(axis=1)
         apart ^= program.flip[action]
     return free
-
-
-def _trace(found: int, cells: list[np.ndarray], n_act: int) -> list[int]:
-    """The actions from the initial state to queue position ``found``;
-    ``cells`` holds parent * A + action for every queue position."""
-    cell = np.concatenate(cells)
-    ids: list[int] = []
-    while found:
-        found, action = divmod(int(cell[found]), n_act)
-        ids.append(action)
-    ids.reverse()
-    return ids
 
 
 def levels(program: Program, max_states: int | None, max_depth: int | None):
@@ -601,7 +580,8 @@ def search(program: Program, max_states: int | None, max_depth: int | None) -> S
                 hits = np.flatnonzero((level.states[:popped] & program.goal).any(axis=1))
                 if len(hits):
                     found = offset + int(hits[0])
-                    return SearchResult(_trace(found, cells, n_act), found + 1, False)
+                    path = _paths(np.concatenate(cells), np.array([found]), n_act)
+                    return SearchResult([int(a[0]) for a in path][::-1], found + 1, False)
             if popped < n:
                 return SearchResult(None, max_states, True)
             offset += n

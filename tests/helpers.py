@@ -240,22 +240,27 @@ def reference_keep(
 
 
 @functools.lru_cache(maxsize=None)
-def reference_undo(policy: Policy, query: SafetyQuery, every: bool = False, loose: bool = False):
+def reference_undo(
+    policy: Policy, query: SafetyQuery, every: bool = False, loose: bool = False,
+    grantor: bool = False,
+):
     """The undo lemma's G table of the unsliced program, pair by pair over
     Python-int masks, and its free flag. Row b holds b's target bit and
-    every role x that b, or a sibling of b, leaves enabled when x returns
-    to its initial value: b does when x's closure misses b's positive
-    literals, if x starts absent, or its negative ones, if x starts held.
-    A sibling is an action with b's kind, target and tested roles that
-    needs x at its initial value and otherwise what b needs; it counts
-    only for an x that no other role grants and that grants no other
-    role. Returns (G, free), where ``free(parent_free, child, b)`` is the
-    flag of a state ``child`` first queued by action b from a parent with
-    flag ``parent_free``: the bits in which it differs from init and that
-    some back action flips must lie in G[b]. Two unsound variants:
-    ``every`` puts every role in every row, and ``loose`` takes any
-    action with b's kind, target and tested roles as a sibling, b itself
-    included. Memoized: do not modify the result."""
+    every plain role x (one that no other role grants and that grants no
+    other role) that b, or a sibling of b, leaves enabled when x returns
+    to its initial value: b does when it needs x neither held, if x
+    starts absent, nor absent, if x starts held. A sibling is an action
+    with b's kind, target and tested roles that needs x at its initial
+    value and otherwise what b needs. Returns (G, free), where
+    ``free(parent_free, child, b)`` is the flag of a state ``child``
+    first queued by action b from a parent with flag ``parent_free``:
+    the bits in which it differs from init and that some back action
+    flips must lie in G[b]. Three unsound variants: ``every`` puts every
+    role in every row, ``loose`` takes any action with b's kind, target
+    and tested roles as a sibling, b itself included, and ``grantor``
+    judges a role that grants or is granted by its role bit alone, as if
+    it were plain, ignoring its closure row. Memoized: do not modify the
+    result."""
     actions, closure, init, _ = _python_masks(policy, query)
     n = len(policy.roles)
     closure = closure or [1 << x for x in range(n)]
@@ -276,8 +281,8 @@ def reference_undo(policy: Policy, query: SafetyQuery, every: bool = False, loos
         row = tbit
         for x in range(n):
             bit = 1 << x
-            stays = not closure[x] & (neg if init & bit else pos)
             plain = closure[x] == bit and not granted & bit
+            stays = (plain or grantor) and not bit & (neg if init & bit else pos)
             sibling = loose or (tbit, test, need & ~bit | init & bit) in rows
             if every or stays or (plain and test & bit and sibling):
                 row |= bit

@@ -519,29 +519,21 @@ class TestEntryPoints:
             assert tasks == "1"
         assert setting == (preset or "1")
 
-    def test_the_worker_pool_loads_only_with_a_wide_level(self):
-        """Importing the CLI and the analyzer loads no worker pool; the
-        test below checks that no search, however wide its levels, loads
-        one either."""
-        code = (
-            "import sys, arbac.cli, arbac.analyzer\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-
     def test_a_search_of_wide_levels_starts_no_thread(self, tmp_path):
-        """``check`` on bank 1 q1, whose levels span up to 27 chunks,
-        expands every chunk on the thread it started with."""
-        policy = generate_bank(BankConfig(branches=1, instrumentation="q1"))
-        path = write(tmp_path, serialize_policy(policy))
+        """``check`` on bank 1 q1, whose levels span up to 27 chunks, and
+        ``check --query`` on a role of the hierarchical bank 18 (a
+        34-role cone, reachable in 3 steps) expand every chunk on the
+        thread they started with and load no worker pool."""
+        flat = generate_bank(BankConfig(branches=1, instrumentation="q1"))
+        tiered = generate_bank(BankConfig(branches=18, instrumentation="both",
+                                          hierarchy_mode="hierarchical"))
+        flat_path = write(tmp_path, serialize_policy(flat))
+        tiered_path = write(tmp_path, serialize_policy(tiered), "tiered.arbac")
         code = (
             "import os, sys\n"
             "from arbac.cli import main\n"
-            f"assert main(['check', {path!r}]) == 0\n"
+            f"assert main(['check', {flat_path!r}]) == 0\n"
+            f"assert main(['check', {tiered_path!r}, '--query', 'newUser:FA-Clerk@1']) == 2\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "print(len(os.listdir('/proc/self/task')))\n"
         )
