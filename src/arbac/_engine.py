@@ -11,10 +11,9 @@ into the sorted keys of visited states drops the visited ones (but for
 a free state's children, which the undo lemma below shows unvisited).
 
 ``levels`` yields the FIFO queue one ``Level`` at a time (its states,
-cells, free flags, goal hit and ``Work``) up to ``max_depth``, and
-``search`` reads its result off them: the goal test, ``max_states``,
-the witness path, and a ``MemoryError``, which drops the level being
-built.
+cells, free flags, goal hit and ``Work``), and ``search`` reads its
+result off them: the goal test, ``max_states``, the witness path, and a
+``MemoryError``, which drops the level being built.
 
 An action passes when ``(words & test) == need`` holds on every tested
 word: the state's role bits, then one authorization bit per role that
@@ -47,19 +46,19 @@ order, row-major, so the first occurrence kept here is the one the FIFO
 search enqueued, with the same parent and action, and selecting the
 kept ones from that list by a mask keeps them in queue order. A level's
 chunks are expanded one after another in queue order, so together they
-list the children as one pass over the frontier would. The goal
-test and the ``max_states`` cap then only need a state's position in
-the queue, and ``max_depth`` only its level. A chunk that yields an
-unvisited goal state ends the level early: every state queued before
-that goal state comes from this chunk or an earlier one. So does a
-chunk after which the level already queues more states than the cap
-leaves to pop: those are the level's queue prefix, and the next round
-sees the level overflow the cap. Exactly as many would not do, as the
-cut level would then pass for a whole one. The summed sizes of the
-chunks bound the level's distinct count from above; the exact count
-takes a merge of the chunks so far, made only when that bound exceeds
-the cap and has doubled since the last merge, so a level merges a
-logarithmic number of times, not once per chunk.
+list the children as one pass over the frontier would. The goal test
+and the ``max_states`` cap then only need a state's position in the
+queue. A chunk that yields an unvisited goal state ends the level
+early: every state queued before that goal state comes from this chunk
+or an earlier one. So does a chunk after which the level already
+queues more states than the cap leaves to pop: those are the level's
+queue prefix, and the next round sees the level overflow the cap.
+Exactly as many would not do, as the cut level would then pass for a
+whole one. The summed sizes of the chunks bound the level's distinct
+count from above; the exact count takes a merge of the chunks so far,
+made only when that bound exceeds the cap and has doubled since the
+last merge, so a level merges a logarithmic number of times, not once
+per chunk.
 
 Distance lemma: every action flips exactly one bit, an assign needing
 its target absent and a revoke needing it held. So a state first queued
@@ -140,7 +139,6 @@ first occurrence.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -519,12 +517,10 @@ def _free(program: Program, frontier: np.ndarray, cell: np.ndarray, bars: np.nda
     return free
 
 
-def levels(program: Program, max_states: int | None, max_depth: int | None):
+def levels(program: Program, max_states: int | None):
     """The FIFO search's queue level by level, up to one that is empty,
     meets the goal, or holds more states than ``max_states`` (None: no
-    cap) leaves to pop; each with the free flags its expansion reads.
-    A level past ``max_depth`` (None: no limit) is yielded only when
-    empty, as the search pops none of its states."""
+    cap) leaves to pop; each with the free flags its expansion reads."""
     n_act = max(1, len(program.flip))
     # a state holds only initial and flipped bits
     held = program.init | np.bitwise_or.reduce(program.flip, axis=0)
@@ -536,10 +532,8 @@ def levels(program: Program, max_states: int | None, max_depth: int | None):
     # the sorted keys of the visited levels of the level's parity, then the other's
     visited, keys = [_keys(init[:0])] * 2, _keys(init)
     cells, offset = [], 0  # parent * A + action per queue position; the level's position
-    for depth in itertools.count():
+    while True:
         n = len(level.states)
-        if n and max_depth is not None and depth > max_depth:
-            return
         room = None if max_states is None else max_states - offset - n
         last = level.hit or not n or room is not None and room < 0
         cells.append(level.cells)
@@ -565,12 +559,12 @@ def levels(program: Program, max_states: int | None, max_depth: int | None):
         offset += n
 
 
-def search(program: Program, max_states: int | None, max_depth: int | None) -> SearchResult:
+def search(program: Program, max_states: int | None) -> SearchResult:
     """``levels`` read as a result; a ``MemoryError`` drops the level being built."""
     n_act = max(1, len(program.flip))
     cells, offset = [], 0  # parent * A + action per queue position; the level's position
     try:
-        for level in levels(program, max_states, max_depth):
+        for level in levels(program, max_states):
             n = len(level.states)
             if not n:
                 return SearchResult(None, offset, False)
@@ -587,4 +581,3 @@ def search(program: Program, max_states: int | None, max_depth: int | None) -> S
             offset += n
     except MemoryError:
         return SearchResult(None, offset, True)
-    return SearchResult(None, offset, True)  # level max_depth + 1 holds states

@@ -41,6 +41,7 @@ test checks this on every role of the corpus.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -91,16 +92,19 @@ class TooLarge(ArbacError):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps on the search; None means unlimited."""
+    """The cap on the states the search pops; None means unlimited."""
 
     max_states: int | None = None
-    max_depth: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_states", "max_depth"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive when finite, got {value}")
+        if self.max_states is None:
+            return
+        if isinstance(self.max_states, (bool, np.bool_)):
+            raise TypeError(f"max_states must be an integer, got {self.max_states!r}")
+        cap = operator.index(self.max_states)  # a TypeError for a float or a string
+        if cap < 1:
+            raise ValueError(f"max_states must be positive when finite, got {cap}")
+        object.__setattr__(self, "max_states", cap)
 
 
 class Outcome(str, Enum):
@@ -279,11 +283,8 @@ def reach(
     else:
         roles, ca_map, cr_map = policy.roles, range(len(policy.ca)), range(len(policy.cr))
 
-    result = _engine.search(
-        _compile_masks(policy, query, roles, ca_map, cr_map),
-        limits.max_states,
-        limits.max_depth,
-    )
+    program = _compile_masks(policy, query, roles, ca_map, cr_map)
+    result = _engine.search(program, limits.max_states)
 
     if result.action_ids is not None:
         steps = []

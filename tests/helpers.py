@@ -294,7 +294,7 @@ def reference_undo(
     return table, free
 
 
-def run_python(init, n_roles, actions, closure, target_idx, max_states, max_depth):
+def run_python(init, n_roles, actions, closure, target_idx, max_states):
     """FIFO breadth-first search popping one state at a time and
     enqueueing its unvisited children in action order. Returns (found
     action ids or None, states popped, truncated)."""
@@ -305,16 +305,9 @@ def run_python(init, n_roles, actions, closure, target_idx, max_states, max_dept
     pact = [-1]
     head = 0
     found = -1
-    truncated = False
-    depth = 0
-    level_end = 1
     while head < len(queue):
         if max_states is not None and head >= max_states:
-            truncated = True
-            break
-        if head == level_end:
-            depth += 1
-            level_end = len(queue)
+            return None, head, True
         s = queue[head]
         if closure is not None:
             auth = 0
@@ -326,7 +319,6 @@ def run_python(init, n_roles, actions, closure, target_idx, max_states, max_dept
         if auth & target_bit:
             found = head
             break
-        expand = max_depth is None or depth < max_depth
         for a, (is_assign, pos, neg, tbit) in enumerate(actions):
             if is_assign:
                 if s & tbit or (auth & pos) != pos or auth & neg:
@@ -338,22 +330,19 @@ def run_python(init, n_roles, actions, closure, target_idx, max_states, max_dept
                 c = s & ~tbit
             if c in visited:
                 continue
-            if not expand:
-                truncated = True
-                continue
             visited.add(c)
             queue.append(c)
             parent.append(head)
             pact.append(a)
         head += 1
     if found < 0:
-        return None, head, truncated
+        return None, head, False
     ids = []
     cur = found
     while parent[cur] >= 0:
         ids.append(pact[cur])
         cur = parent[cur]
-    return ids[::-1], head + 1, truncated
+    return ids[::-1], head + 1, False
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,8 +352,7 @@ def fifo_reach(policy: Policy, query: SafetyQuery, limits: SearchLimits) -> Verd
     states explored and witness. Memoized, as a ``Verdict`` is frozen."""
     actions, closure, init, target = _python_masks(policy, query)
     ids, popped, truncated = run_python(
-        init, len(policy.roles), actions, closure, target,
-        limits.max_states, limits.max_depth,
+        init, len(policy.roles), actions, closure, target, limits.max_states
     )
     witness = None
     if ids is not None:

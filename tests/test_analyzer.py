@@ -357,18 +357,9 @@ class TestLimits:
             is Outcome.REACHABLE
         )
 
-    def test_max_depth_boundary(self):
-        assert (
-            reach(CHAIN, Q_B, limits=SearchLimits(max_depth=1)).outcome
-            is Outcome.UNKNOWN
-        )
-        verdict = reach(CHAIN, Q_B, limits=SearchLimits(max_depth=2))
-        assert verdict.outcome is Outcome.REACHABLE
-        assert len(verdict.witness) == 2
-
     def test_generous_limits_still_exhaust(self):
         policy = mini(("A", "B"), ca=[assign("A")])
-        verdict = reach(policy, Q_B, limits=SearchLimits(max_states=1000, max_depth=50))
+        verdict = reach(policy, Q_B, limits=SearchLimits(max_states=1000))
         assert verdict.outcome is Outcome.UNREACHABLE
         assert verdict.exhausted is True
 
@@ -399,24 +390,34 @@ class TestLimits:
         assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
         assert verdict.states_explored == 4_877
 
-    def test_a_level_past_max_depth_builds_no_table(self):
-        """Bank 1 q1 first fills a chunk at level 8. Under ``max_depth`` 7
-        the search pops the 4,877 states of levels 0-7 and never expands
-        level 8, so it builds no enable table; under 8 it builds one."""
-        built = []  # per max_depth: the tables built and the states popped
-        for max_depth in (7, 8):
-            with mock.patch.object(_engine, "_enable_table", wraps=_engine._enable_table) as table:
-                verdict = reach(*TestLevelChunks.bank_one(), SearchLimits(max_depth=max_depth))
-            assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
-            built.append((table.call_count, verdict.states_explored))
-        assert built[0] == (0, 4_877) and built[1][0] == 1
+    @pytest.mark.parametrize("cap, built", [(12_616, 0), (12_617, 1)])
+    def test_a_level_past_the_cap_builds_no_table(self, cap, built):
+        """Bank 1 q1 first fills a chunk at level 8, and levels 0-8 hold
+        12,617 states. A cap one short of them cuts level 8, which the
+        search never expands, so it builds no enable table; a cap of all
+        of them expands level 8 and builds one."""
+        with mock.patch.object(_engine, "_enable_table", wraps=_engine._enable_table) as table:
+            verdict = reach(*TestLevelChunks.bank_one(), SearchLimits(cap))
+        assert verdict.outcome is Outcome.UNKNOWN and not verdict.exhausted
+        assert verdict.states_explored == cap
+        assert table.call_count == built
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_limits_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             SearchLimits(max_states=bad)
-        with pytest.raises(ValueError):
-            SearchLimits(max_depth=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False, np.float64(3), np.True_])
+    def test_limits_must_be_integers(self, bad):
+        """Else a cap of 2.5 would end a search ``unknown`` after 2.5 states."""
+        with pytest.raises(TypeError):
+            SearchLimits(max_states=bad)
+
+    @pytest.mark.parametrize("cap", [7, np.int64(7), np.uint16(7)])
+    def test_limits_take_any_integer(self, cap):
+        limits = SearchLimits(max_states=cap)
+        assert type(limits.max_states) is int and limits == SearchLimits(7)
+        assert reach(CHAIN, Q_B, limits).outcome is Outcome.REACHABLE
 
     @pytest.mark.parametrize("seed", range(40))
     def test_capped_verdicts_are_consistent(self, seed):
@@ -434,11 +435,7 @@ class TestLimits:
                     assert len(capped.witness) == len(unlimited.witness)
 
 
-LIMITS = [
-    SearchLimits(max_states, max_depth)
-    for max_states in (None, 1, 4, 16)
-    for max_depth in (None, 1, 2, 3)
-]
+LIMITS = [SearchLimits(cap) for cap in (None, 1, 4, 16)]
 
 
 # word bounds of the packed-key fold: empty, tiny, and at or near 64 bits
@@ -503,18 +500,16 @@ class TestEngine:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_depth_limits_agree_with_the_oracle(self, seed):
+        """A caller that stops ``levels`` after level d meets the goal
+        exactly when the oracle's shortest witness takes at most d steps."""
         policy, query = random_policy(seed)
         oracle = oracle_reach(policy, query)
-        for max_depth in (1, 2, 3, 4):
-            verdict = reach(policy, query, SearchLimits(max_depth=max_depth))
-            if oracle.outcome is Outcome.REACHABLE and len(oracle.witness) <= max_depth:
-                assert verdict.outcome is Outcome.REACHABLE
-                assert len(verdict.witness) == len(oracle.witness)
-                assert replay(policy, query, verdict.witness)
-            elif oracle.outcome is Outcome.REACHABLE:
-                assert verdict.outcome is Outcome.UNKNOWN
-            else:
-                assert verdict.outcome in (Outcome.UNREACHABLE, Outcome.UNKNOWN)
+        program = _compile_masks(policy, query, *whole(policy))
+        hits = [level.hit for level in _engine.levels(program, None)]
+        if oracle.outcome is Outcome.REACHABLE:
+            assert hits == [False] * len(oracle.witness) + [True]
+        else:
+            assert not any(hits)
 
     @pytest.mark.parametrize("seed", range(0, 60, 3))
     def test_three_word_states(self, seed):
@@ -542,15 +537,12 @@ class TestEngine:
         for seed in range(0, 60, 4):
             assert_matches_reference(*random_policy(seed))
         policy = single_division_policy(mutated=True)
-        assert_matches_reference(policy, policy.queries[0], LIMITS[:4])
+        assert_matches_reference(policy, policy.queries[0], LIMITS)
 
     def test_two_word_bank_slice(self):
         sliced, query = wide_witness_slice()
         assert 64 < len(sliced.roles) <= 128
-        caps = [SearchLimits(max_states, max_depth)
-                for max_states, max_depth in ((None, None), (1, None), (500, None),
-                                              (None, 2), (500, 7))]
-        assert_matches_reference(sliced, query, caps)
+        assert_matches_reference(sliced, query, [SearchLimits(cap) for cap in (None, 1, 500)])
         verdict = reach(sliced, query, use_slicing=False)
         assert verdict.outcome is Outcome.REACHABLE and len(verdict.witness) == 7
 
@@ -560,7 +552,7 @@ class TestEngine:
             query = SafetyQuery("newUser", target)
             sliced = slice_policy(bank, query)
             assert not sliced.hierarchy.is_empty()
-            assert_matches_reference(sliced, query, LIMITS[::3])
+            assert_matches_reference(sliced, query, LIMITS)
 
     def test_bank_slices_in_small_chunks(self, monkeypatch):
         # every level fills a chunk, so the enable table tests two-word
@@ -598,7 +590,7 @@ class TestEngine:
             if (len(program.init), len(program.test)) != (1, 2):
                 continue
             spilled += 1
-            assert_matches_reference(wide, query, [SearchLimits(cap) for cap in (None, 1, 4, 16)])
+            assert_matches_reference(wide, query)
         assert spilled == 68
 
     @pytest.mark.parametrize("high", [0, 1, 3, 20, 44, 61, 63, 64])
@@ -741,7 +733,7 @@ def search_levels(policy, query, cells: int, capped: bool):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_engine, "CELLS", cells)
         program = _compile_masks(policy, query, *whole(policy))
-        levels = list(_engine.levels(program, max_states, None))
+        levels = list(_engine.levels(program, max_states))
     n_act = max(1, len(program.flip))
     fills = (d for d, level in enumerate(levels[:-1]) if len(level.states) * n_act >= cells)
     return levels, n_act, next(fills, len(levels))
@@ -802,7 +794,7 @@ def wide_witness_slice():
 def reach_levels(policy, query):
     """``reach``'s verdict on ``query`` and the levels of its search."""
     program = _compile_masks(policy, query, *_cone(policy, query))
-    return reach(policy, query), list(_engine.levels(program, None, None))
+    return reach(policy, query), list(_engine.levels(program, None))
 
 
 class TestLevelChunks:
@@ -820,21 +812,34 @@ class TestLevelChunks:
         policy, query = TestLevelChunks.bank_one()
         return _compile_masks(policy, query, *_cone(policy, query))
 
-    @pytest.mark.parametrize("at_depth", [False, True])
-    def test_a_capped_level_stops_at_the_cap(self, at_depth):
+    def test_a_capped_level_stops_at_the_cap(self):
         """Under a 197,000-state cap, bank 1 q1 pops 558 states of level
         13, after its 80,000-state frontier (21 chunks). The first chunk
-        already queues more, so no later chunk is expanded. A ``max_depth``
-        of 13 (``at_depth``) still expands that level."""
-        max_depth = 13 if at_depth else None
-        verdict = reach(*self.bank_one(), SearchLimits(max_states=197_000, max_depth=max_depth))
+        already queues more, so no later chunk is expanded."""
+        verdict = reach(*self.bank_one(), SearchLimits(max_states=197_000))
         assert verdict.outcome is Outcome.UNKNOWN and verdict.states_explored == 197_000
         program = self.bank_one_program()
-        *before, frontier, level = _engine.levels(program, 197_000, max_depth)
+        *before, frontier, level = _engine.levels(program, 197_000)
         assert len(before) == 12
         rows = _engine.CELLS // len(program.flip)
         assert -(-len(frontier.states) // rows) == 21
         assert level.work.chunks == 1
+
+    @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
+    def test_levels_end_on_a_last_level(self, cells, monkeypatch):
+        """The last level ``levels`` yields is empty, meets the goal, or
+        holds more states than the cap leaves to pop, and no level before
+        it is; ``search`` returns its result on that level."""
+        monkeypatch.setattr(_engine, "CELLS", cells)
+        for policy, query in TestSleepLemma.corpus():
+            program = _compile_masks(policy, query, *whole(policy))
+            for limits in LIMITS:
+                *before, last = _engine.levels(program, limits.max_states)
+                assert all(len(level.states) and not level.hit for level in before)
+                room = math.inf if limits.max_states is None else limits.max_states
+                room -= sum(len(level.states) for level in before)
+                assert room >= 0 and (not len(last.states) or last.hit or len(last.states) > room)
+                assert _engine.search(program, limits.max_states) is not None
 
     @pytest.mark.parametrize("cells", [4, 64])
     def test_capped_searches_match_the_reference(self, cells, monkeypatch):
@@ -893,7 +898,7 @@ class TestLevelChunks:
         and merging the chunks so far once per chunk would cost a sort
         of the level per chunk."""
         monkeypatch.setattr(_engine, "CELLS", 1 << 16)
-        levels = list(_engine.levels(self.bank_one_program(), 1 + 27**4, None))
+        levels = list(_engine.levels(self.bank_one_program(), 1 + 27**4))
         # the search exhausts the states at the cap
         assert not len(levels[-1].states) and sum(len(lv.states) for lv in levels) == 1 + 27**4
         work = [level.work for level in levels[1:]]
@@ -908,7 +913,7 @@ class TestLevelChunks:
         for seed in range(0, 60, 3):
             assert_matches_reference(*random_policy(seed))
         for policy, query in hierarchical_slices():
-            assert_matches_reference(policy, query, LIMITS[::3])
+            assert_matches_reference(policy, query, LIMITS)
 
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("cells", [4, 64, _engine.CELLS])
@@ -1024,11 +1029,7 @@ class TestDistanceLemma:
         levels, n_act, _ = search_levels(DETOUR, Q_T, cells, False)
         looked = sum(level.work.looked_up for level in levels)
         assert looked > sum(int((~free).sum()) for free in parent_free(levels, n_act))
-        caps = [
-            SearchLimits(max_states, max_depth)
-            for max_states in (None, *range(1, full.states_explored + 2))
-            for max_depth in (None, *range(1, 7))
-        ]
+        caps = [SearchLimits(cap) for cap in (None, *range(1, full.states_explored + 2))]
         assert_matches_reference(DETOUR, Q_T, caps)
 
     @pytest.mark.parametrize("capped", [False, True])
@@ -1036,14 +1037,14 @@ class TestDistanceLemma:
     def test_every_queued_state_obeys_the_lemma(self, cells, capped, monkeypatch):
         monkeypatch.setattr(_engine, "CELLS", cells)
         for seed in range(0, 500, 5):
-            assert_matches_reference(*random_policy(seed), LIMITS[::5])
+            assert_matches_reference(*random_policy(seed), LIMITS)
         sliced, query = wide_witness_slice()
         # TestEngine and TestUndoLemma compare the uncapped search with it
         verdict = fifo_reach(sliced, query, LIMITS[0])
         assert (verdict.states_explored, len(verdict.witness)) == (14_407, 7)
-        assert_matches_reference(sliced, query, [SearchLimits(500, 7)])
+        assert_matches_reference(sliced, query, [SearchLimits(500)])
         for policy, query in hierarchical_slices():
-            assert_matches_reference(policy, query, LIMITS[::3])
+            assert_matches_reference(policy, query, LIMITS)
         checked = depth = frees = 0  # levels and free states checked
         instances = TestSleepLemma.corpus() + [wide_witness_slice()] + hierarchical_slices()
         for policy, query in instances:
@@ -1207,7 +1208,7 @@ class TestSleepLemma:
             reach(*random_policy(seed))
         assert built == []
         program = TestLevelChunks.bank_one_program()
-        levels = list(_engine.levels(program, None, None))
+        levels = list(_engine.levels(program, None))
         assert [len(keep) for keep in built] == [2 * len(program.flip)]
         # the levels after the table's take free rows: every state is free
         assert sum(bool(level.free.any()) for level in levels) > 1
@@ -1328,7 +1329,7 @@ class TestUndoLemma:
         checked = 0  # flags the table sets
         instances = TestSleepLemma.corpus() + hierarchical_slices() + [(SENIOR, Q_T), (HELD, Q_T)]
         for policy, query in instances:
-            assert_matches_reference(policy, query, LIMITS[::5])
+            assert_matches_reference(policy, query, LIMITS)
             levels, _, start = same_levels(policy, query, cells, capped)
             flags_checked(policy, query)
             checked += sum(len(level.free) for level in levels[start:])
@@ -1361,11 +1362,7 @@ class TestUndoLemma:
         assert oracle.outcome is full.outcome is Outcome.REACHABLE
         assert len(full.witness) == len(oracle.witness) == 4
         assert replay(policy, Q_T, full.witness)
-        caps = [
-            SearchLimits(max_states, max_depth)
-            for max_states in (None, *range(1, full.states_explored + 2))
-            for max_depth in (None, *range(1, 5))
-        ]
+        caps = [SearchLimits(cap) for cap in (None, *range(1, full.states_explored + 2))]
         assert_matches_reference(policy, Q_T, caps)
 
     @pytest.mark.parametrize("mutant", ["every", "loose", "grantor"])
